@@ -25,6 +25,7 @@ import (
 	"xfaas/internal/chaos"
 	"xfaas/internal/cluster"
 	"xfaas/internal/core"
+	"xfaas/internal/lifecycle"
 	"xfaas/internal/rng"
 	"xfaas/internal/sim"
 	"xfaas/internal/slo"
@@ -163,7 +164,7 @@ func main() {
 	var ackSum float64
 	var ackN int
 	for _, t := range traces {
-		if t.Outcome != trace.KindAck {
+		if t.Outcome != lifecycle.Ack {
 			continue
 		}
 		if c, ok := t.Breakdown(); ok {

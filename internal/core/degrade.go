@@ -110,11 +110,11 @@ func (p *Platform) degradeTick() {
 	// Control events only on change: SetShed/SetMinCriticality run every
 	// tick, but the event log should show transitions, not heartbeats.
 	if shed != p.lastShed {
-		p.Tracer.Control("degrade.shed", fmt.Sprintf("scale=%.3f healthy=%.3f", shed, frac))
+		p.Events.Control("degrade.shed", fmt.Sprintf("scale=%.3f healthy=%.3f", shed, frac))
 		p.lastShed = shed
 	}
 	if minCrit != p.lastMinCrit {
-		p.Tracer.Control("degrade.min-criticality", minCrit.String())
+		p.Events.Control("degrade.min-criticality", minCrit.String())
 		p.lastMinCrit = minCrit
 	}
 	p.Central.SetShed(shed)
@@ -134,22 +134,22 @@ func (p *Platform) degradeTick() {
 				b.state = breakerOpen
 				b.openedAt = now
 				p.BreakerOpens.Inc()
-				p.Tracer.Control("breaker.open", fmt.Sprintf("r%d healthy=%.3f", reg.ID, rfrac))
+				p.Events.Control("breaker.open", fmt.Sprintf("r%d healthy=%.3f", reg.ID, rfrac))
 			}
 		case breakerOpen:
 			if now-b.openedAt >= cc.BreakerCooldown {
 				b.state = breakerHalfOpen
-				p.Tracer.Control("breaker.half-open", fmt.Sprintf("r%d", reg.ID))
+				p.Events.Control("breaker.half-open", fmt.Sprintf("r%d", reg.ID))
 			}
 		case breakerHalfOpen:
 			if rfrac >= cc.BreakerMinHealthyFrac {
 				b.state = breakerClosed
-				p.Tracer.Control("breaker.closed", fmt.Sprintf("r%d", reg.ID))
+				p.Events.Control("breaker.closed", fmt.Sprintf("r%d", reg.ID))
 			} else {
 				b.state = breakerOpen
 				b.openedAt = now
 				p.BreakerOpens.Inc()
-				p.Tracer.Control("breaker.open", fmt.Sprintf("r%d healthy=%.3f", reg.ID, rfrac))
+				p.Events.Control("breaker.open", fmt.Sprintf("r%d healthy=%.3f", reg.ID, rfrac))
 			}
 		}
 	}

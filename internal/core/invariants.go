@@ -15,7 +15,7 @@ import (
 // the invariant checker: conservation closure against component counters,
 // quota ceilings, AIMD bounds, slow-start caps, concurrency limits, and
 // worker accounting closure. Per-call state-machine checks live in the
-// components' hooks; these probes validate the aggregate views against
+// ledger's rule table; these probes validate the aggregate views against
 // each other at every evaluation interval and once at run end.
 func (p *Platform) registerInvariantProbes() {
 	if !p.Inv.Enabled() {
@@ -118,7 +118,7 @@ func (p *Platform) registerInvariantProbes() {
 	// Acked durability — "no acked call is ever lost". Two halves enforce
 	// it: (a) the ledger's lost-settled violation fires the instant any
 	// component destroys a call that already reached a terminal state
-	// (fired from OnLost, not here); (b) this probe proves every ledger
+	// (fired by the ledger's Lost rule, not here); (b) this probe proves every ledger
 	// loss is attributable to a component crash — the lost population
 	// must exactly equal what the shards and submitters report destroying,
 	// so no call can quietly vanish without a crash to blame, and every

@@ -24,6 +24,7 @@ import (
 	"xfaas/internal/invariant"
 	"xfaas/internal/jit"
 	"xfaas/internal/kv"
+	"xfaas/internal/lifecycle"
 	"xfaas/internal/locality"
 	"xfaas/internal/policy"
 	"xfaas/internal/queuelb"
@@ -136,8 +137,8 @@ type Config struct {
 	// call is sampled and the hot path pays one boolean load).
 	Trace trace.Params
 	// Invariants configures continuous invariant checking (disabled by
-	// default: the checker stays nil and every hook is a nil-receiver
-	// no-op, preserving the zero-alloc submit path).
+	// default: the checker stays nil and the lifecycle stream skips it,
+	// preserving the zero-alloc submit path).
 	Invariants invariant.Params
 	// Observe is the utilization-accounting and SLO model: per-worker
 	// core-second meters with exact busy/idle closure, windowed
@@ -249,8 +250,11 @@ type Platform struct {
 	// Always non-nil: control events record even with call tracing off.
 	Tracer *trace.Recorder
 	// Inv is the invariant checker; nil unless cfg.Invariants.Enabled
-	// (nil is the disabled checker — all hooks no-op on it).
+	// (nil is the disabled checker — all methods no-op on it).
 	Inv *invariant.Checker
+	// Events is the call-lifecycle stream every component emits into;
+	// Tracer and Inv are its subscribers.
+	Events *lifecycle.Stream
 	// Metrics is the platform-level labeled metric registry backing the
 	// Prometheus exposition.
 	Metrics *stats.Registry
@@ -324,17 +328,14 @@ type Platform struct {
 	MigratedOut     stats.Counter
 	MigratedIn      stats.Counter
 	MigratedDropped stats.Counter
-	// OnExecutedHook, when set, observes every successful completion
-	// (experiment instrumentation).
-	OnExecutedHook func(*function.Call)
-	// onExecutedSubs are additional completion listeners (trigger
-	// chaining, workflows); see AddOnExecuted.
+	// onExecutedSubs are the completion listeners (trigger chaining,
+	// workflows, experiment instrumentation); see AddOnExecuted.
 	onExecutedSubs []func(*function.Call)
 }
 
-// AddOnExecuted registers an additional completion listener; unlike the
-// single OnExecutedHook field, listeners compose (workflow chaining plus
-// experiment instrumentation can coexist).
+// AddOnExecuted registers a listener for every successful completion.
+// Listeners compose (workflow chaining plus experiment instrumentation
+// can coexist) and run in registration order.
 func (p *Platform) AddOnExecuted(fn func(*function.Call)) {
 	p.onExecutedSubs = append(p.onExecutedSubs, fn)
 }
@@ -380,6 +381,11 @@ func New(cfg Config, registry *function.Registry) *Platform {
 		// of the sweeps' promise, not an SLO miss.
 		p.Inv.ExpiryDispatchCheck = true
 	}
+	var ledger lifecycle.Ledger // a nil interface when the checker is off
+	if p.Inv != nil {
+		ledger = p.Inv
+	}
+	p.Events = lifecycle.NewStream(p.Tracer, ledger)
 	p.E2ELatency = p.Metrics.Histogram("e2e_latency_seconds")
 	// Prebuild the per-(region, quota, criticality) completion counter
 	// handles so the completion path never joins label strings.
@@ -404,10 +410,10 @@ func New(cfg Config, registry *function.Registry) *Platform {
 		p.Acct = slo.NewAccountant(p.Metrics, regionNames, effectiveCoreMIPS(cfg.Worker), cfg.Observe.UtilWindow, engine.Now())
 	}
 	if cfg.Observe.SLO {
-		p.SLO = slo.NewEngine(p.Metrics, cfg.Observe, p.Tracer.Control)
+		p.SLO = slo.NewEngine(p.Metrics, cfg.Observe, p.Events.Control)
 	}
 	p.Cong = congestion.NewManager(engine, cfg.AIMD, cfg.SlowStart)
-	p.Cong.Trace = p.Tracer
+	p.Cong.Events = p.Events
 	for _, c := range cfg.SpikyClients {
 		p.spiky[c] = true
 	}
@@ -445,8 +451,7 @@ func New(cfg Config, registry *function.Registry) *Platform {
 			if cfg.Durability.JournalEnabled {
 				sh.EnableJournal(cfg.Durability.FlushLag)
 			}
-			sh.Trace = p.Tracer
-			sh.Inv = p.Inv
+			sh.Events = p.Events
 			sh.SLO = p.SLO
 			allShards[i] = append(allShards[i], sh)
 		}
@@ -471,14 +476,14 @@ func New(cfg Config, registry *function.Registry) *Platform {
 			if cfg.PrewarmJIT {
 				wk.Runtime.Prewarm(registry.Names())
 			}
-			wk.Trace = p.Tracer
+			wk.Events = p.Events
 			if p.Acct != nil {
 				wk.Acct = p.Acct.NewMeter(int(r.ID), wparams.CPUMIPS, effectiveCoreMIPS(wparams), engine.Now())
 			}
 			reg.Workers = append(reg.Workers, wk)
 		}
 		reg.LB = workerlb.New(src.Split(), reg.Workers)
-		reg.LB.Trace = p.Tracer
+		reg.LB.Events = p.Events
 		if cfg.Chaos.HeartbeatInterval > 0 {
 			reg.LB.StartHealthChecks(engine, workerlb.HealthParams{
 				Interval:              cfg.Chaos.HeartbeatInterval,
@@ -497,7 +502,7 @@ func New(cfg Config, registry *function.Registry) *Platform {
 			})
 		}
 		reg.QueueLB = queuelb.New(r.ID, src.Split(), allShards, p.Store)
-		reg.QueueLB.Trace = p.Tracer
+		reg.QueueLB.Events = p.Events
 		// The scheduling policy's QueueLB placement hook. Every shipped
 		// policy declines placement (routing stays matrix-driven, with
 		// identical RNG draws), but a placement-aware policy installed
@@ -511,10 +516,8 @@ func New(cfg Config, registry *function.Registry) *Platform {
 		}
 		reg.Normal = submitter.New(engine, r.ID, submitter.PoolNormal, cfg.Submitter, reg.QueueLB, p.KV, src.Split(), &p.idSeq)
 		reg.Spiky = submitter.New(engine, r.ID, submitter.PoolSpiky, cfg.Submitter, reg.QueueLB, p.KV, src.Split(), &p.idSeq)
-		reg.Normal.Trace = p.Tracer
-		reg.Spiky.Trace = p.Tracer
-		reg.Normal.Inv = p.Inv
-		reg.Spiky.Inv = p.Inv
+		reg.Normal.Events = p.Events
+		reg.Spiky.Events = p.Events
 		nSched := cfg.SchedulersPerRegion
 		if nSched < 1 {
 			nSched = 1
@@ -532,8 +535,7 @@ func New(cfg Config, registry *function.Registry) *Platform {
 		}
 		for k := 0; k < nSched; k++ {
 			sc := scheduler.New(engine, src.Split(), r.ID, sparams, allShards, reg.LB, p.Central, p.Cong, p.Store)
-			sc.Trace = p.Tracer
-			sc.Inv = p.Inv
+			sc.Events = p.Events
 			sc.HedgeBudget = hb
 			sc.OnExecuted = p.onExecuted
 			sc.Reachable = func(dst cluster.RegionID) bool { return p.Reachable(from, dst) }
@@ -577,8 +579,7 @@ func New(cfg Config, registry *function.Registry) *Platform {
 		queueLBs[i] = reg.QueueLB
 	}
 	p.Drainer = drain.NewController(engine, cfg.Drain, views, queueLBs)
-	p.Drainer.Trace = p.Tracer
-	p.Drainer.Inv = p.Inv
+	p.Drainer.Events = p.Events
 	p.Drainer.MarkRegion = func(r int, d bool) { p.drained[r] = d }
 	if cfg.Chaos.DegradeInterval > 0 {
 		engine.Every(cfg.Chaos.DegradeInterval, p.degradeTick)
@@ -674,9 +675,6 @@ func (p *Platform) onExecuted(c *function.Call) {
 	p.avgCostM = (1-alpha)*p.avgCostM + alpha*c.CPUWorkM
 	p.Acct.OnExecuted(c)
 	p.SLO.Observe(c, now)
-	if p.OnExecutedHook != nil {
-		p.OnExecutedHook(c)
-	}
 	for _, fn := range p.onExecutedSubs {
 		fn(c)
 	}

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"xfaas/internal/trace"
+	"xfaas/internal/lifecycle"
 	"xfaas/internal/workload"
 )
 
@@ -72,7 +72,7 @@ func TestTraceBreakdownMatchesE2EHistogram(t *testing.T) {
 	var sum float64
 	var n int
 	for _, tr := range p.Tracer.Recent() {
-		if tr.Outcome != trace.KindAck {
+		if tr.Outcome != lifecycle.Ack {
 			continue
 		}
 		comp, ok := tr.Breakdown()

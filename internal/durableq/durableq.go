@@ -13,13 +13,12 @@ import (
 
 	"xfaas/internal/cluster"
 	"xfaas/internal/function"
-	"xfaas/internal/invariant"
 	"xfaas/internal/journal"
+	"xfaas/internal/lifecycle"
 	"xfaas/internal/rng"
 	"xfaas/internal/sim"
 	"xfaas/internal/slo"
 	"xfaas/internal/stats"
-	"xfaas/internal/trace"
 )
 
 // ShardID identifies a DurableQ shard within a region.
@@ -178,11 +177,9 @@ type Shard struct {
 	DrainedIn  stats.Counter
 	pending    int
 
-	// Trace, when set, records queue lifecycle events for sampled calls.
-	Trace *trace.Recorder
-	// Inv, when set, feeds the invariant checker's call ledger at every
-	// durable state transition.
-	Inv *invariant.Checker
+	// Events, when set, receives every durable state transition of a
+	// call and the shard's control events.
+	Events *lifecycle.Stream
 	// SLO, when set, observes dead-lettered calls as objective misses
 	// (nil-safe, no allocation).
 	SLO *slo.Engine
@@ -245,8 +242,7 @@ func (s *Shard) Enqueue(c *function.Call) bool {
 	if s.jrn != nil {
 		s.jrn.Append(journal.OpEnqueue, c, c.StartAfter)
 	}
-	s.Trace.Record(c, trace.KindEnqueue, trace.Ref(s.ID.Region, s.ID.Index))
-	s.Inv.OnEnqueue(c)
+	s.Events.Emit(c, lifecycle.Enqueue, lifecycle.Ref(s.ID.Region, s.ID.Index))
 	return true
 }
 
@@ -356,8 +352,7 @@ func (s *Shard) offer(c *function.Call) *function.Call {
 	if s.jrn != nil {
 		s.jrn.Append(journal.OpLease, c, 0)
 	}
-	s.Trace.Record(c, trace.KindLease, int64(c.Attempt))
-	s.Inv.OnLease(c)
+	s.Events.Emit(c, lifecycle.Lease, int64(c.Attempt))
 	l := s.getLease()
 	l.call = c
 	l.id = c.ID
@@ -400,8 +395,7 @@ func (s *Shard) expire(l *lease) {
 	s.Expired.Inc()
 	c := l.call
 	s.putLease(l)
-	s.Trace.Record(c, trace.KindLeaseExpired, 0)
-	s.Inv.OnExpired(c)
+	s.Events.Emit(c, lifecycle.LeaseExpired, 0)
 	s.retryOrDrop(c, 0)
 }
 
@@ -439,8 +433,7 @@ func (s *Shard) Ack(id uint64) bool {
 	if s.jrn != nil {
 		s.jrn.Append(journal.OpAck, c, 0)
 	}
-	s.Trace.Record(c, trace.KindAck, 0)
-	s.Inv.OnAck(c)
+	s.Events.Emit(c, lifecycle.Ack, 0)
 	s.putLease(l)
 	s.Acked.Inc()
 	if c.Attempt == 1 {
@@ -474,8 +467,7 @@ func (s *Shard) suppressDuplicate(id uint64) bool {
 		s.FirstAcks.Inc()
 		s.earnBudget(c.Spec.Name)
 	}
-	s.Trace.Record(c, trace.KindAck, 1)
-	s.Inv.OnAck(c)
+	s.Events.Emit(c, lifecycle.Ack, 1)
 	return true
 }
 
@@ -502,8 +494,7 @@ func (s *Shard) nackWith(id uint64, base time.Duration, override bool) bool {
 	s.Nacked.Inc()
 	c := l.call
 	s.putLease(l)
-	s.Trace.Record(c, trace.KindNack, 0)
-	s.Inv.OnNack(c)
+	s.Events.Emit(c, lifecycle.Nack, 0)
 	if !override {
 		base = c.Spec.Retry.Backoff
 	}
@@ -533,8 +524,7 @@ func (s *Shard) retryOrDrop(c *function.Call, base time.Duration) {
 	if s.jrn != nil {
 		s.jrn.Append(journal.OpRetry, c, readyAt)
 	}
-	s.Trace.Record(c, trace.KindRetry, int64(backoff))
-	s.Inv.OnRetry(c)
+	s.Events.Emit(c, lifecycle.Retry, int64(backoff))
 	s.requeue(c, readyAt)
 }
 
@@ -542,8 +532,8 @@ func (s *Shard) retryOrDrop(c *function.Call, base time.Duration) {
 // shared by retry exhaustion, budget exhaustion, expiry sweeping, and
 // scheduler-initiated shedding. Every path journals OpDeadLetter (a
 // terminal record, so crash replay never resurrects the call), bumps the
-// aggregate and per-reason counters, and feeds the matching trace kind
-// and ledger hook.
+// aggregate and per-reason counters, and emits the matching lifecycle
+// kind.
 func (s *Shard) deadLetter(c *function.Call, reason DeadReason) {
 	c.State = function.StateFailed
 	s.DeadLetters.Inc()
@@ -554,20 +544,16 @@ func (s *Shard) deadLetter(c *function.Call, reason DeadReason) {
 	switch reason {
 	case ReasonExpired:
 		s.DeadExpired.Inc()
-		s.Trace.Record(c, trace.KindExpired, int64(c.Attempt))
-		s.Inv.OnExpiredCall(c)
+		s.Events.Emit(c, lifecycle.Expired, int64(c.Attempt))
 	case ReasonBudget:
 		s.DeadBudget.Inc()
-		s.Trace.Record(c, trace.KindBudgetExhausted, int64(c.Attempt))
-		s.Inv.OnBudgetExhausted(c)
+		s.Events.Emit(c, lifecycle.BudgetExhausted, int64(c.Attempt))
 	case ReasonShed:
 		s.DeadShed.Inc()
-		s.Trace.Record(c, trace.KindShed, int64(s.engine.Now()-c.QueuedAt))
-		s.Inv.OnShed(c)
+		s.Events.Emit(c, lifecycle.Shed, int64(s.engine.Now()-c.QueuedAt))
 	default:
 		s.DeadExhausted.Inc()
-		s.Trace.Record(c, trace.KindDeadLetter, int64(c.Attempt))
-		s.Inv.OnDeadLetter(c)
+		s.Events.Emit(c, lifecycle.DeadLetter, int64(c.Attempt))
 	}
 }
 
@@ -610,8 +596,7 @@ func (s *Shard) Release(id uint64) bool {
 	if s.jrn != nil {
 		s.jrn.Append(journal.OpRetry, c, readyAt)
 	}
-	s.Trace.Record(c, trace.KindRetry, 0)
-	s.Inv.OnRelease(c)
+	s.Events.Emit(c, lifecycle.Release, 0)
 	s.requeue(c, readyAt)
 	return true
 }
@@ -685,8 +670,7 @@ func (s *Shard) AdoptDrained(c *function.Call) bool {
 	if s.jrn != nil {
 		s.jrn.Append(journal.OpEnqueue, c, readyAt)
 	}
-	s.Trace.Record(c, trace.KindMigrated, trace.Ref(s.ID.Region, s.ID.Index))
-	s.Inv.OnDrainMigrate(c)
+	s.Events.Emit(c, lifecycle.DrainMigrated, lifecycle.Ref(s.ID.Region, s.ID.Index))
 	return true
 }
 
@@ -709,7 +693,7 @@ func (s *Shard) earnBudget(name string) {
 	s.budgets[name] = b
 	if b >= 1 && s.budgetDry[name] {
 		delete(s.budgetDry, name)
-		s.Trace.Control("budget.recovered", fmt.Sprintf("%v %s", s.ID, name))
+		s.Events.Control("budget.recovered", fmt.Sprintf("%v %s", s.ID, name))
 	}
 }
 
@@ -734,7 +718,7 @@ func (s *Shard) spendBudget(name string) bool {
 				s.budgetDry = make(map[string]bool)
 			}
 			s.budgetDry[name] = true
-			s.Trace.Control("budget.exhausted", fmt.Sprintf("%v %s", s.ID, name))
+			s.Events.Control("budget.exhausted", fmt.Sprintf("%v %s", s.ID, name))
 		}
 		return false
 	}
@@ -830,7 +814,7 @@ func (s *Shard) Crash() {
 		for _, c := range held {
 			s.lose(c)
 		}
-		s.Trace.Control("durableq.crash",
+		s.Events.Control("durableq.crash",
 			fmt.Sprintf("%v journal=off lost=%d", s.ID, len(held)))
 		return
 	}
@@ -863,7 +847,7 @@ func (s *Shard) Crash() {
 		s.lose(c)
 		lost++
 	}
-	s.Trace.Control("durableq.crash",
+	s.Events.Control("durableq.crash",
 		fmt.Sprintf("%v journal=%d torn=%d lost=%d held=%d",
 			s.ID, s.jrn.Len(), len(torn), lost, s.crashHeld))
 }
@@ -872,8 +856,7 @@ func (s *Shard) Crash() {
 func (s *Shard) lose(c *function.Call) {
 	s.LostOnCrash.Inc()
 	c.State = function.StateFailed
-	s.Trace.Record(c, trace.KindLost, 0)
-	s.Inv.OnLost(c)
+	s.Events.Emit(c, lifecycle.Lost, 0)
 }
 
 // Restart brings a crashed shard back: after ReplayBase (process start,
@@ -889,12 +872,12 @@ func (s *Shard) Restart() {
 	}
 	if s.jrn == nil {
 		// Stateless restart: the shard returns empty after the base delay.
-		s.Trace.Control("durableq.replay-begin", fmt.Sprintf("%v entries=0", s.ID))
+		s.Events.Control("durableq.replay-begin", fmt.Sprintf("%v entries=0", s.ID))
 		s.replayTimer = s.engine.Schedule(s.ReplayBase, func() { s.finishReplay(0) })
 		return
 	}
 	s.replayer = s.jrn.Replay()
-	s.Trace.Control("durableq.replay-begin",
+	s.Events.Control("durableq.replay-begin",
 		fmt.Sprintf("%v entries=%d", s.ID, s.replayer.Total()))
 	s.replayTimer = s.engine.Schedule(s.ReplayBase, s.replayStep)
 }
@@ -919,7 +902,7 @@ func (s *Shard) finishReplay(replayed int) {
 	s.crashHeld = 0
 	s.replayer = nil
 	s.replayLast = nil
-	s.Trace.Control("durableq.replay-end",
+	s.Events.Control("durableq.replay-end",
 		fmt.Sprintf("%v replayed=%d requeued=%d", s.ID, replayed, s.pending))
 }
 
@@ -947,8 +930,7 @@ func (s *Shard) replayEntry(e journal.Entry) {
 	s.recovered[c.ID] = c
 	s.crashHeld--
 	s.Replayed.Inc()
-	s.Trace.Record(c, trace.KindRecovered, int64(e.Op))
-	s.Inv.OnRecoverRequeue(c)
+	s.Events.Emit(c, lifecycle.Recovered, int64(e.Op))
 }
 
 // sortStrings is an insertion sort: funcNames grows one name at a time

@@ -6,17 +6,16 @@
 // evacuations), attempt monotonicity, quota ceilings, AIMD bounds and
 // slow-start caps, locality containment, and worker accounting closure.
 //
-// The wiring mirrors internal/trace: components hold a plain
-// `Inv *invariant.Checker` field and call nil-safe hooks at their state
-// transitions. When the checker is disabled the field stays nil and every
-// hook is a nil-receiver early return — zero allocations on the submit
-// path, enforced by the strict bench gate.
+// The checker subscribes to the lifecycle stream (internal/lifecycle):
+// components emit each call transition once, and Observe applies it to a
+// small state machine (the ledger) driven by a per-kind rule table. When
+// the checker is disabled it is nil, the stream never calls it, and the
+// submit path stays at its single allocation (the strict bench gate).
 //
-// Per-call hooks drive a small state machine (the ledger); structural
-// checks that need a platform-wide view (conservation closure against
-// component counters, quota/AIMD/utilization probes) are registered by
-// internal/core as named probes and run at simulated-time intervals and
-// once at run end. A violation carries the offending call's ID — the
+// Structural checks that need a platform-wide view (conservation closure
+// against component counters, quota/AIMD/utilization probes) are
+// registered by internal/core as named probes and run at simulated-time
+// intervals and once at run end. A violation carries the offending call's ID — the
 // same ID the tracer samples by — so xfaas-inspect can print the call's
 // critical path next to the violation.
 package invariant
@@ -28,6 +27,7 @@ import (
 	"time"
 
 	"xfaas/internal/function"
+	"xfaas/internal/lifecycle"
 	"xfaas/internal/sim"
 )
 
@@ -80,9 +80,10 @@ func (v Violation) String() string {
 // at-least-once lifecycle: submitted → queued → leased → running →
 // completed → acked, with nack/expiry detours through settling back to
 // queued (retry) or out to dead-letter, and drop as a terminal straight
-// from submitted (routing failure before persistence).
+// from submitted (routing failure before persistence). State zero means
+// "unchanged" as a rule's next state.
 const (
-	stSubmitted uint8 = iota
+	stSubmitted uint8 = iota + 1
 	stQueued
 	stLeased
 	stRunning
@@ -90,23 +91,29 @@ const (
 	stSettling
 )
 
-func stateName(s uint8) string {
-	switch s {
-	case stSubmitted:
-		return "submitted"
-	case stQueued:
-		return "queued"
-	case stLeased:
-		return "leased"
-	case stRunning:
-		return "running"
-	case stCompleted:
-		return "completed"
-	case stSettling:
-		return "settling"
+var stateNames = [...]string{"?", "submitted", "queued", "leased", "running", "completed", "settling"}
+
+func stateName(s uint8) string { return stateNames[s] }
+
+// states is a set of ledger states.
+type states uint8
+
+func in(ss ...uint8) states {
+	var m states
+	for _, s := range ss {
+		m |= 1 << s
 	}
-	return "?"
+	return m
 }
+
+func (m states) has(s uint8) bool { return m&(1<<s) != 0 }
+
+var (
+	anyState = in(stSubmitted, stQueued, stLeased, stRunning, stCompleted, stSettling)
+	// live holds the states in which a scheduler or worker may hold a copy
+	// of the call that outlives its durable record.
+	live = in(stLeased, stRunning, stCompleted, stSettling)
+)
 
 // centry is the ledger record of one in-flight call. Entries are deleted
 // at terminal states, so the ledger's size tracks the in-flight count,
@@ -125,10 +132,10 @@ type centry struct {
 	fn    string
 }
 
-// packRef encodes a worker identity, biased by one region so that worker
-// (0,0) never collides with the zero value centry.worker uses as its
-// "no execution" sentinel.
-func packRef(region, worker int) int64 { return int64(region+1)<<32 | int64(uint32(worker)) }
+// workerRef is a lifecycle worker-ref arg biased by one region, so that
+// worker (0,0) never collides with the zero value centry.worker uses as
+// its "no execution" sentinel.
+func workerRef(arg int64) int64 { return arg + 1<<32 }
 
 func refString(ref int64) string {
 	return fmt.Sprintf("w-%d-%d", ref>>32-1, int32(ref))
@@ -164,11 +171,31 @@ type Tally struct {
 	MigratedIn  uint64
 }
 
-type counts struct {
-	submitted, acked, dead, dropped, lost, resurrected uint64
-	exhausted, expired, budgetDenied, shed             uint64
-	migratedOut, migratedIn                            uint64
-}
+// counter indexes a conservation count. Sources put a call on the
+// books, terminals take it off; each dead-letter disposition (Exhausted
+// and after) also books cDead.
+type counter uint8
+
+const (
+	cNone counter = iota
+	cSubmitted
+	cMigratedIn
+	cResurrected
+	cAcked
+	cDropped
+	cLost
+	cMigratedOut
+	cDead
+	cExhausted
+	cExpired
+	cBudgetDenied
+	cShed
+	numCounters
+)
+
+func (c counter) terminal() bool { return c >= cAcked }
+
+type counts [numCounters]uint64
 
 type probe struct {
 	name string
@@ -294,182 +321,291 @@ func (k *Checker) fcounts(fn string) *counts {
 	return c
 }
 
-// terminal books one terminal outcome and drops the ledger entry.
-// Callers hold k.mu.
-func (k *Checker) terminal(id uint64, e centry, out func(*counts)) {
-	out(&k.total)
-	out(k.fcounts(e.fn))
+// book adds a call to a conservation counter: in total, for its function
+// and for its submission region. Callers hold k.mu.
+func (k *Checker) book(e centry, ctr counter) {
+	add := func(cs *counts) {
+		cs[ctr]++
+		if ctr >= cExhausted {
+			cs[cDead]++
+		}
+	}
+	add(&k.total)
+	add(k.fcounts(e.fn))
 	if int(e.region) < len(k.byRegion) {
-		out(&k.byRegion[e.region])
-	}
-	delete(k.ledger, id)
-}
-
-// OnSubmit records a call entering the platform (an ID was assigned and
-// the call joined a submitter batch).
-func (k *Checker) OnSubmit(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if _, dup := k.ledger[c.ID]; dup {
-		k.violate("duplicate-call-id", c.ID, "id assigned twice (func %s)", c.Spec.Name)
-	}
-	e := centry{state: stSubmitted, region: int32(c.SourceRegion), fn: c.Spec.Name}
-	k.ledger[c.ID] = e
-	k.total.submitted++
-	k.fcounts(e.fn).submitted++
-	if int(e.region) < len(k.byRegion) {
-		k.byRegion[e.region].submitted++
+		add(&k.byRegion[e.region])
 	}
 }
 
-// OnMigrateOut records a call handed to another platform partition over
-// the parallel fabric. Migration happens at routing time, so it is only
-// legal from the submitted state (before durable persistence); the call
-// becomes the destination partition's responsibility and leaves this
-// ledger as a terminal.
-func (k *Checker) OnMigrateOut(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.violate("migrate-unknown", c.ID, "migrated a call the ledger never saw")
-		return
-	}
-	if e.state != stSubmitted {
-		k.violate("migrate-from-"+stateName(e.state), c.ID,
-			"migrated after durable persistence (func %s)", e.fn)
-	}
-	k.terminal(c.ID, e, func(t *counts) { t.migratedOut++ })
+// onUnknown says what an event for an ID with no ledger entry means.
+type onUnknown uint8
+
+const (
+	// lateIfUnknown: at-least-once fallout — a superseded execution, or a
+	// settle after the call's terminal — counted in LateEvents.
+	lateIfUnknown onUnknown = iota
+	// breachIfUnknown: "<name>-unknown", a call the ledger never saw;
+	// the event applies to nothing.
+	breachIfUnknown
+	// adoptIfUnknown: the same breach, after which the event applies to a
+	// fresh entry.
+	adoptIfUnknown
+	// settledIfUnknown: the rule's breach, a call that already left the
+	// ledger through a terminal.
+	settledIfUnknown
+	// opens: a source event; it opens an entry, and a live ID is a
+	// duplicate.
+	opens
+	// resurrects: a journal replay of a call whose terminal record was
+	// torn off; it opens a resurrected entry (legal at-least-once
+	// duplication, counted as a late event).
+	resurrects
+)
+
+// rule is one lifecycle kind's transition in the ledger.
+type rule struct {
+	// name prefixes the kind's violations: "<name>-from-<state>" for an
+	// illegal source state, "<name>-unknown" for an unseen ID.
+	name string
+	// from is the set of legal source states; to is the next state
+	// (0 = unchanged).
+	from states
+	to   uint8
+	// count is the counter the event books: a source when it opens an
+	// entry, a terminal when the call leaves the ledger under it.
+	count counter
+	// unknown decides an event for an ID without an entry; verb names
+	// the event in that breach's detail, and breach names a settled one.
+	unknown onUnknown
+	verb    string
+	breach  string
+	// orphanLate tolerates an unknown ID a crash orphaned (see
+	// Checker.orphaned) as a late event.
+	orphanLate bool
+	// reset clears the execution refs; orphans marks the ID orphaned when
+	// it leaves a live state.
+	reset, orphans bool
+	// detail formats an illegal-source violation (or, for a source, a
+	// duplicate-ID one) from the function name; "func %s" when empty.
+	detail string
 }
 
-// OnMigrateIn records a call arriving from another platform partition:
-// like a submission, it enters the ledger in the submitted state (the
-// fabric delivers to this partition's routing layer, which persists it),
-// but it is booked as a MigratedIn source so conservation distinguishes
-// locally born work from immigrated work.
-func (k *Checker) OnMigrateIn(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if _, dup := k.ledger[c.ID]; dup {
-		k.violate("duplicate-call-id", c.ID, "migrated-in id already live (func %s)", c.Spec.Name)
-	}
-	e := centry{state: stSubmitted, region: int32(c.SourceRegion), fn: c.Spec.Name}
-	k.ledger[c.ID] = e
-	k.total.migratedIn++
-	k.fcounts(e.fn).migratedIn++
-	if int(e.region) < len(k.byRegion) {
-		k.byRegion[e.region].migratedIn++
-	}
+// illegal names the violation of a transition from state s.
+func (r *rule) illegal(s uint8) string { return r.name + "-from-" + stateName(s) }
+
+// rules is the ledger's transition table, indexed by lifecycle kind. A
+// kind with no rule (the trace-only admission and execution spans) does
+// not touch the ledger.
+var rules = [lifecycle.NumKinds]rule{
+	// An ID was assigned and the call joined a submitter batch.
+	lifecycle.Submit: {name: "submit", to: stSubmitted, count: cSubmitted,
+		unknown: opens, detail: "id assigned twice (func %s)"},
+	// A call arrived from another partition: like a submission, but booked
+	// as immigrated work so each partition's ledger closes on its own.
+	lifecycle.MigrateIn: {name: "migrate-in", to: stSubmitted, count: cMigratedIn,
+		unknown: opens, detail: "migrated-in id already live (func %s)"},
+	// Handed to another partition at routing time, before persistence.
+	lifecycle.Migrated: {name: "migrate", from: in(stSubmitted), count: cMigratedOut,
+		unknown: breachIfUnknown, verb: "migrated", detail: "migrated after durable persistence (func %s)"},
+	// A routing failure before persistence — the only legal way a call
+	// disappears without an ack or dead-letter.
+	lifecycle.Dropped: {name: "drop", from: in(stSubmitted), count: cDropped,
+		unknown: breachIfUnknown, verb: "dropped", detail: "dropped after durable persistence (func %s)"},
+	lifecycle.Enqueue: {name: "enqueue", from: in(stSubmitted), to: stQueued,
+		unknown: adoptIfUnknown, verb: "enqueued"},
+	// Each lease must carry a strictly increasing attempt (see legal).
+	lifecycle.Lease: {name: "lease", from: in(stQueued), to: stLeased,
+		unknown: adoptIfUnknown, verb: "leased"},
+	// Dispatch while running is the lease-exclusivity breach; a scheduler
+	// dispatching its copy of a call a crash settled out from under it is
+	// at-least-once overlap.
+	lifecycle.Dispatch: {name: "dispatch", from: in(stLeased), to: stRunning,
+		unknown: adoptIfUnknown, verb: "dispatched", orphanLate: true},
+	// The worker identity tells at-least-once overlap from a breach: a
+	// completion from a superseded execution (its lease expired and the
+	// call moved on) is a late event; one from the current execution in
+	// any state but running is a breach (one execution completing twice).
+	lifecycle.Complete: {name: "complete", from: in(stRunning), to: stCompleted},
+	// A speculative copy is legal only while the primary runs, and only
+	// one may be live (see legal).
+	lifecycle.HedgeDispatch: {name: "hedge", from: in(stRunning),
+		unknown: breachIfUnknown, verb: "hedged", orphanLate: true},
+	lifecycle.HedgeWin:    {name: "hedge-win", from: anyState},
+	lifecycle.HedgeCancel: {name: "hedge-cancel", from: anyState},
+	// The shard's ack is authoritative: a superseded execution's ack can
+	// land while a redelivery is queued, leased or running, ending the call
+	// early (a late event). Only an ack before persistence is a breach.
+	lifecycle.Ack: {name: "ack", from: in(stCompleted), count: cAcked,
+		detail: "func %s acked before persistence"},
+	// A negative settle (failure or evacuation) or a lease expiry.
+	lifecycle.Nack:         {name: "nack", from: in(stLeased, stRunning, stCompleted), to: stSettling, reset: true},
+	lifecycle.LeaseExpired: {name: "expire", from: in(stLeased, stRunning, stCompleted), to: stSettling, reset: true},
+	// A draining scheduler hands its lease back: plain queued work again,
+	// with no settle detour.
+	lifecycle.Release: {name: "release", from: in(stLeased), to: stQueued, reset: true},
+	// A drain moves a queued call's durable home; conservation keys on the
+	// submission region, so the entry only has to still be queued.
+	lifecycle.DrainMigrated: {name: "drain-migrate", from: in(stQueued)},
+	lifecycle.Retry:         {name: "retry", from: in(stSettling), to: stQueued},
+	lifecycle.DeadLetter:    {name: "deadletter", from: in(stSettling), count: cExhausted},
+	// A redelivery refused by an empty retry budget.
+	lifecycle.BudgetExhausted: {name: "budget-deadletter", from: in(stSettling), count: cBudgetDenied},
+	// Sweeps catch a call queued, leased (the dispatch-time sweep) or
+	// settling — never running: an expired call on a worker means the
+	// sweeps failed.
+	lifecycle.Expired: {name: "expire-sweep", from: in(stQueued, stLeased, stSettling), count: cExpired},
+	// Shedding targets leased calls in a scheduler buffer; shedding a
+	// settled call is the "executed to success and shed" breach.
+	lifecycle.Shed: {name: "shed", from: in(stLeased), count: cShed,
+		unknown: settledIfUnknown, verb: "shed", breach: "shed-after-terminal", orphanLate: true},
+	// A crash can catch a call in any live state. Losing a call with no
+	// entry is the durability breach: the component destroyed work it had
+	// already settled, e.g. an acked call.
+	lifecycle.Lost: {name: "lost", from: anyState, count: cLost, orphans: true,
+		unknown: settledIfUnknown, verb: "component lost", breach: "lost-settled"},
+	// Journal replay after a shard crash: any live state legally returns
+	// to queued, and the refs reset so an orphaned execution's completion
+	// reads as a late event.
+	lifecycle.Recovered: {name: "recover", from: anyState, to: stQueued, count: cResurrected,
+		reset: true, orphans: true, unknown: resurrects},
 }
 
-// OnDropped records a routing failure before durable persistence — the
-// only legal way a call disappears without an ack or dead-letter.
-func (k *Checker) OnDropped(c *function.Call) {
-	if k == nil {
+// Observe applies one lifecycle event to the ledger: the checker's
+// subscription to the lifecycle stream and its only per-call entry point.
+// The kind's rule decides the transition; legal adds the few checks that
+// need more than a state.
+func (k *Checker) Observe(c *function.Call, kind lifecycle.Kind, arg int64) {
+	if k == nil || rules[kind].name == "" {
 		return
 	}
+	r := &rules[kind]
+	ref := workerRef(arg) // meaningful for the worker-carrying kinds only
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.violate("drop-unknown", c.ID, "dropped a call the ledger never saw")
-		return
-	}
-	if e.state != stSubmitted {
-		k.violate("drop-from-"+stateName(e.state), c.ID,
-			"dropped after durable persistence (func %s)", e.fn)
-	}
-	k.terminal(c.ID, e, func(t *counts) { t.dropped++ })
-}
-
-// OnEnqueue records durable persistence in a DurableQ shard.
-func (k *Checker) OnEnqueue(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.violate("enqueue-unknown", c.ID, "enqueued a call the ledger never saw")
-		e = centry{region: int32(c.SourceRegion), fn: c.Spec.Name}
-	}
-	if ok && e.state != stSubmitted {
-		k.violate("enqueue-from-"+stateName(e.state), c.ID, "func %s", e.fn)
-	}
-	e.state = stQueued
-	k.ledger[c.ID] = e
-}
-
-// OnLease records a scheduler taking a lease (a DurableQ offer). Each
-// lease must come from the queued state and carry a strictly increasing
-// attempt number.
-func (k *Checker) OnLease(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.violate("lease-unknown", c.ID, "leased a call the ledger never saw")
-		e = centry{region: int32(c.SourceRegion), fn: c.Spec.Name}
-	}
-	if ok && e.state != stQueued {
-		k.violate("lease-from-"+stateName(e.state), c.ID, "func %s attempt %d", e.fn, c.Attempt)
-	}
-	if ok && int32(c.Attempt) <= e.attempt {
-		k.violate("attempt-not-monotone", c.ID,
-			"attempt %d after %d (func %s)", c.Attempt, e.attempt, e.fn)
-	}
-	e.state = stLeased
-	e.attempt = int32(c.Attempt)
-	k.ledger[c.ID] = e
-}
-
-// OnDispatch records a worker starting the call. Dispatch from any state
-// but leased is a breach; dispatch while already running is the lease-
-// exclusivity violation — the same call executing on two workers under
-// one lease.
-func (k *Checker) OnDispatch(c *function.Call, region, worker int) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	ref := packRef(region, worker)
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		if _, orphan := k.orphaned[c.ID]; orphan {
-			// A scheduler dispatching its copy of a call whose durable
-			// record a crash destroyed or settled out from under it —
-			// at-least-once overlap, not a breach.
-			k.lateEvents++
+	e, known := k.ledger[c.ID]
+	if !known || r.unknown == opens {
+		var ok bool
+		if e, ok = k.admit(c, r, known); !ok {
 			return
 		}
-		k.violate("dispatch-unknown", c.ID, "dispatched a call the ledger never saw")
-		e = centry{region: int32(c.SourceRegion), fn: c.Spec.Name}
+	} else if !k.legal(c, kind, r, e, ref) {
+		return
 	}
-	if ok && e.state != stLeased {
-		if e.state == stRunning {
-			k.violate("lease-exclusivity", c.ID,
-				"dispatched to %s while running on %s (func %s)",
-				refString(ref), refString(e.worker), e.fn)
-		} else {
-			k.violate("dispatch-from-"+stateName(e.state), c.ID, "func %s", e.fn)
+	if r.orphans && live.has(e.state) {
+		// A pre-crash scheduler or worker still holds this call; its later
+		// dispatch or completion is at-least-once fallout.
+		k.markOrphaned(c.ID)
+	}
+	switch kind {
+	case lifecycle.Lease:
+		e.attempt = int32(c.Attempt)
+	case lifecycle.Dispatch:
+		k.placement(c, arg)
+		e.worker = ref
+	case lifecycle.HedgeDispatch:
+		e.hedge = ref
+	case lifecycle.HedgeWin:
+		e.worker, e.hedge = ref, 0
+	case lifecycle.HedgeCancel:
+		e.hedge = 0
+	}
+	if r.reset {
+		e.worker, e.hedge = 0, 0
+	}
+	if r.count.terminal() {
+		k.book(e, r.count)
+		delete(k.ledger, c.ID)
+		return
+	}
+	if r.to != 0 {
+		e.state = r.to
+	}
+	k.ledger[c.ID] = e
+}
+
+// admit decides an event for an ID with no ledger entry, or a source
+// event for any ID. It returns the fresh entry the event applies to, or
+// false when the event ends here. Callers hold k.mu.
+func (k *Checker) admit(c *function.Call, r *rule, known bool) (centry, bool) {
+	e := centry{region: int32(c.SourceRegion), fn: c.Spec.Name}
+	if r.orphanLate {
+		if _, orphan := k.orphaned[c.ID]; orphan {
+			k.lateEvents++
+			return e, false
 		}
 	}
+	switch r.unknown {
+	case lateIfUnknown:
+		k.lateEvents++
+		return e, false
+	case breachIfUnknown, adoptIfUnknown:
+		k.violate(r.name+"-unknown", c.ID, "%s a call the ledger never saw", r.verb)
+		return e, r.unknown == adoptIfUnknown
+	case settledIfUnknown:
+		k.violate(r.breach, c.ID, "%s a call the ledger already settled (func %s)", r.verb, c.Spec.Name)
+		return e, false
+	case resurrects:
+		k.lateEvents++
+	case opens:
+		if known {
+			k.violate("duplicate-call-id", c.ID, r.detail, c.Spec.Name)
+		}
+	}
+	k.book(e, r.count)
+	return e, true
+}
+
+// legal checks a known call's transition against its rule, plus the
+// kind-specific checks. It returns false for a superseded execution's
+// event, which applies to nothing. Callers hold k.mu.
+func (k *Checker) legal(c *function.Call, kind lifecycle.Kind, r *rule, e centry, ref int64) bool {
+	switch {
+	case kind == lifecycle.Complete && e.worker != ref,
+		kind == lifecycle.HedgeWin && e.hedge != ref:
+		k.lateEvents++
+		return false
+	case r.from.has(e.state):
+	case kind == lifecycle.Ack && e.state != stSubmitted:
+		k.lateEvents++
+	case kind == lifecycle.Dispatch && e.state == stRunning:
+		k.violate("lease-exclusivity", c.ID, "dispatched to %s while running on %s (func %s)",
+			refString(ref), refString(e.worker), e.fn)
+	case kind == lifecycle.Lease:
+		k.violate(r.illegal(e.state), c.ID, "func %s attempt %d", e.fn, c.Attempt)
+	case kind == lifecycle.Complete:
+		k.violate(r.illegal(e.state), c.ID, "func %s on %s", e.fn, refString(ref))
+	case r.detail != "":
+		k.violate(r.illegal(e.state), c.ID, r.detail, e.fn)
+	default:
+		k.violate(r.illegal(e.state), c.ID, "func %s", e.fn)
+	}
+	switch kind {
+	case lifecycle.Lease:
+		if int32(c.Attempt) <= e.attempt {
+			k.violate("attempt-not-monotone", c.ID,
+				"attempt %d after %d (func %s)", c.Attempt, e.attempt, e.fn)
+		}
+	case lifecycle.HedgeDispatch:
+		if e.hedge != 0 {
+			k.violate("hedge-duplicate", c.ID,
+				"hedged to %s while a hedge already runs on %s (func %s)",
+				refString(ref), refString(e.hedge), e.fn)
+		}
+		if e.worker == ref {
+			k.violate("hedge-same-worker", c.ID,
+				"hedged onto the primary's own worker %s (func %s)", refString(ref), e.fn)
+		}
+	}
+	return true
+}
+
+// placement checks a dispatch's worker against the function's locality
+// group and, with expiry sweeping on, the call's deadline. Callers hold
+// k.mu.
+func (k *Checker) placement(c *function.Call, arg int64) {
 	if k.LocalityCheck != nil {
-		if msg := k.LocalityCheck(c, region, worker); msg != "" {
+		region, idx := lifecycle.SplitRef(arg)
+		if msg := k.LocalityCheck(c, int(region), idx); msg != "" {
 			k.violate("locality", c.ID, "%s", msg)
 		}
 	}
@@ -478,363 +614,6 @@ func (k *Checker) OnDispatch(c *function.Call, region, worker int) {
 			"func %s dispatched %s past its deadline",
 			c.Spec.Name, k.engine.Now()-c.Deadline)
 	}
-	e.state = stRunning
-	e.worker = ref
-	k.ledger[c.ID] = e
-}
-
-// OnComplete records a worker finishing the call (success or failure —
-// retry routing is the scheduler's decision). The worker identity
-// disambiguates at-least-once overlap from real protocol breaches: a
-// lease that expires mid-execution (e.g. its shard was unavailable, so
-// renewal failed) requeues the call while the old execution still runs,
-// and that execution's completion then arrives for an entry that has
-// moved on — or for no entry at all. Completions whose worker does not
-// match the ledger's current execution are tolerated and counted in
-// LateEvents; a completion from the matching worker in any state but
-// running is a genuine breach (e.g. one execution completing twice).
-func (k *Checker) OnComplete(c *function.Call, region, worker int) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	ref := packRef(region, worker)
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.lateEvents++
-		return
-	}
-	if e.worker != ref {
-		// A superseded execution finishing late: legal overlap.
-		k.lateEvents++
-		return
-	}
-	if e.state != stRunning {
-		k.violate("complete-from-"+stateName(e.state), c.ID,
-			"func %s on %s", e.fn, refString(ref))
-	}
-	e.state = stCompleted
-	k.ledger[c.ID] = e
-}
-
-// OnHedgeDispatch records a speculative copy of a running call starting
-// on a second worker. Legal only while the primary execution runs, and
-// only one hedge may be live per call — a second concurrent hedge is the
-// hedged twin of the lease-exclusivity breach.
-func (k *Checker) OnHedgeDispatch(c *function.Call, region, worker int) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	ref := packRef(region, worker)
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		if _, orphan := k.orphaned[c.ID]; orphan {
-			k.lateEvents++
-			return
-		}
-		k.violate("hedge-unknown", c.ID, "hedged a call the ledger never saw")
-		return
-	}
-	if e.state != stRunning {
-		k.violate("hedge-from-"+stateName(e.state), c.ID, "func %s", e.fn)
-	}
-	if e.hedge != 0 {
-		k.violate("hedge-duplicate", c.ID,
-			"hedged to %s while a hedge already runs on %s (func %s)",
-			refString(ref), refString(e.hedge), e.fn)
-	}
-	if e.worker == ref {
-		k.violate("hedge-same-worker", c.ID,
-			"hedged onto the primary's own worker %s (func %s)", refString(ref), e.fn)
-	}
-	e.hedge = ref
-	k.ledger[c.ID] = e
-}
-
-// OnHedgeWin records the speculative copy finishing first: the ledger's
-// execution ref moves to the hedge worker so the ensuing completion and
-// settle flow reads as the winner's. A win for a ref the ledger no
-// longer tracks (the entry moved on under at-least-once overlap) is a
-// tolerated late event.
-func (k *Checker) OnHedgeWin(c *function.Call, region, worker int) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	ref := packRef(region, worker)
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.lateEvents++
-		return
-	}
-	if e.hedge != ref {
-		k.lateEvents++
-		return
-	}
-	e.worker = ref
-	e.hedge = 0
-	k.ledger[c.ID] = e
-}
-
-// OnHedgeCancel records a speculative copy retired without winning (the
-// primary finished first, the copy failed, or its primary's worker was
-// evacuated).
-func (k *Checker) OnHedgeCancel(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.lateEvents++
-		return
-	}
-	e.hedge = 0
-	k.ledger[c.ID] = e
-}
-
-// OnAck records the durable queue settling the call as done — the happy
-// terminal state. The shard's ack is authoritative: under at-least-once
-// overlap a superseded execution's ack can land while a redelivered
-// attempt is queued, leased or running, which terminates the call early
-// (tolerated, counted in LateEvents). Only an ack before the call was
-// ever durably persisted is a breach.
-func (k *Checker) OnAck(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.lateEvents++
-		return
-	}
-	switch e.state {
-	case stCompleted:
-	case stSubmitted:
-		k.violate("ack-from-submitted", c.ID, "func %s acked before persistence", e.fn)
-	default:
-		k.lateEvents++
-	}
-	k.terminal(c.ID, e, func(t *counts) { t.acked++ })
-}
-
-// OnNack records an explicit negative settle (execution failure or a
-// chaos evacuation returning the call to the queue).
-func (k *Checker) OnNack(c *function.Call) { k.settle(c, "nack") }
-
-// OnExpired records a lease expiring (scheduler presumed dead).
-func (k *Checker) OnExpired(c *function.Call) { k.settle(c, "expire") }
-
-func (k *Checker) settle(c *function.Call, kind string) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.lateEvents++
-		return
-	}
-	switch e.state {
-	case stLeased, stRunning, stCompleted:
-	default:
-		k.violate(kind+"-from-"+stateName(e.state), c.ID, "func %s", e.fn)
-	}
-	e.state = stSettling
-	e.worker = 0
-	e.hedge = 0
-	k.ledger[c.ID] = e
-}
-
-// OnRelease records a scheduler gracefully handing a leased call back to
-// its shard during a regional drain: the lease dissolves and the call is
-// plain queued work again — no settle detour, no retry accounting.
-func (k *Checker) OnRelease(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.lateEvents++
-		return
-	}
-	if e.state != stLeased {
-		k.violate("release-from-"+stateName(e.state), c.ID, "func %s", e.fn)
-	}
-	e.state = stQueued
-	e.worker = 0
-	e.hedge = 0
-	k.ledger[c.ID] = e
-}
-
-// OnDrainMigrate records a drain controller moving a queued call's
-// durable home to a peer region's shard. The ledger keys conservation on
-// the submission region, which the move does not change, so the entry
-// only needs to still be queued for the move to be legal.
-func (k *Checker) OnDrainMigrate(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.lateEvents++
-		return
-	}
-	if e.state != stQueued {
-		k.violate("drain-migrate-from-"+stateName(e.state), c.ID, "func %s", e.fn)
-	}
-}
-
-// OnRetry records a settled call pushed back onto the queue for another
-// attempt.
-func (k *Checker) OnRetry(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.lateEvents++
-		return
-	}
-	if e.state != stSettling {
-		k.violate("retry-from-"+stateName(e.state), c.ID, "func %s", e.fn)
-	}
-	e.state = stQueued
-	k.ledger[c.ID] = e
-}
-
-// OnDeadLetter records retry exhaustion — the unhappy terminal state.
-func (k *Checker) OnDeadLetter(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.lateEvents++
-		return
-	}
-	if e.state != stSettling {
-		k.violate("deadletter-from-"+stateName(e.state), c.ID, "func %s", e.fn)
-	}
-	k.terminal(c.ID, e, func(t *counts) { t.dead++; t.exhausted++ })
-}
-
-// OnBudgetExhausted records a redelivery refused by an empty retry
-// budget — a dead-letter with the `budget` disposition. Like retry
-// exhaustion it is only legal from the settling state (the call was
-// nacked or its lease expired, and the shard chose not to requeue it).
-func (k *Checker) OnBudgetExhausted(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.lateEvents++
-		return
-	}
-	if e.state != stSettling {
-		k.violate("budget-deadletter-from-"+stateName(e.state), c.ID, "func %s", e.fn)
-	}
-	k.terminal(c.ID, e, func(t *counts) { t.dead++; t.budgetDenied++ })
-}
-
-// OnExpiredCall records a deadline-expiry sweep dead-lettering a call.
-// Sweeps legally catch a call queued (poll-time sweep), leased (the
-// scheduler's dispatch-time sweep terminating its own lease), or
-// settling (redelivery refused because the deadline passed) — but never
-// running: an expired call on a worker means the sweeps failed.
-func (k *Checker) OnExpiredCall(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.lateEvents++
-		return
-	}
-	switch e.state {
-	case stQueued, stLeased, stSettling:
-	default:
-		k.violate("expire-sweep-from-"+stateName(e.state), c.ID, "func %s", e.fn)
-	}
-	k.terminal(c.ID, e, func(t *counts) { t.dead++; t.expired++ })
-}
-
-// OnShed records queue-delay shedding dead-lettering a call. Shedding
-// only targets leased calls sitting in a scheduler buffer; shedding a
-// call the ledger has already settled is the "no call both executed to
-// success and shed" breach (unless the ID was orphaned by a crash, which
-// is at-least-once fallout).
-func (k *Checker) OnShed(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		if _, orphan := k.orphaned[c.ID]; orphan {
-			k.lateEvents++
-			return
-		}
-		k.violate("shed-after-terminal", c.ID,
-			"shed a call the ledger already settled (func %s)", c.Spec.Name)
-		return
-	}
-	if e.state != stLeased {
-		k.violate("shed-from-"+stateName(e.state), c.ID, "func %s", e.fn)
-	}
-	k.terminal(c.ID, e, func(t *counts) { t.dead++; t.shed++ })
-}
-
-// OnLost records a call destroyed by a component crash before settling —
-// a submitter's unflushed batch dying with the process, or the torn tail
-// of a shard's journal. A crash can catch a call in any live state, so
-// any non-terminal entry settles to the lost terminal without complaint.
-// An OnLost with no ledger entry is the durability breach this engine
-// exists to catch: every terminal call (acked, dead-lettered, dropped)
-// has left the ledger, so "lost an unknown call" means a component
-// destroyed work it had already settled — e.g. an acked call.
-func (k *Checker) OnLost(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		k.violate("lost-settled", c.ID,
-			"component lost a call the ledger already settled (func %s)", c.Spec.Name)
-		return
-	}
-	switch e.state {
-	case stLeased, stRunning, stCompleted, stSettling:
-		// A live copy may outlive the durable record (a scheduler buffer,
-		// an execution already on a worker). Its later dispatch or
-		// completion is orphaned at-least-once fallout, not a breach.
-		k.markOrphaned(c.ID)
-	}
-	k.terminal(c.ID, e, func(t *counts) { t.lost++ })
 }
 
 // markOrphaned remembers an ID whose live copy may outlast its durable
@@ -844,48 +623,6 @@ func (k *Checker) markOrphaned(id uint64) {
 		k.orphaned = make(map[uint64]struct{})
 	}
 	k.orphaned[id] = struct{}{}
-}
-
-// OnRecoverRequeue records journal replay re-enqueueing a call after a
-// shard crash. The crash orphaned whatever state the call was in —
-// queued, leased, even running on a worker that never heard about the
-// crash — so any live state legally returns to queued; the worker ref
-// resets so the orphaned execution's eventual completion reads as
-// at-least-once overlap (a late event), not a breach. A requeue with no
-// ledger entry is a resurrection: the call settled but its terminal
-// record was in the journal's torn tail, so replay re-delivers it. The
-// ack that already reached the client still stands — this is legal
-// at-least-once duplication, booked under Resurrected so conservation
-// stays closed.
-func (k *Checker) OnRecoverRequeue(c *function.Call) {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	e, ok := k.ledger[c.ID]
-	if !ok {
-		e = centry{state: stQueued, region: int32(c.SourceRegion), fn: c.Spec.Name}
-		k.ledger[c.ID] = e
-		k.total.resurrected++
-		k.fcounts(e.fn).resurrected++
-		if int(e.region) < len(k.byRegion) {
-			k.byRegion[e.region].resurrected++
-		}
-		k.lateEvents++
-		return
-	}
-	switch e.state {
-	case stLeased, stRunning, stCompleted, stSettling:
-		// A pre-crash scheduler or worker still holds this call; its late
-		// completion can settle the replayed copy out from under the
-		// redelivery pipeline.
-		k.markOrphaned(c.ID)
-	}
-	e.state = stQueued
-	e.worker = 0
-	e.hedge = 0
-	k.ledger[c.ID] = e
 }
 
 // evaluate runs every registered probe. Probes run outside the lock so
@@ -936,7 +673,7 @@ func (k *Checker) TotalViolations() uint64 {
 }
 
 // LateEvents counts tolerated post-terminal events from at-least-once
-// execution overlap (see OnComplete).
+// execution overlap (see the Complete rule).
 func (k *Checker) LateEvents() uint64 {
 	if k == nil {
 		return 0
@@ -972,18 +709,18 @@ func (k *Checker) Totals() Tally {
 // (InFlight is the caller's to fill).
 func tally(c counts) Tally {
 	return Tally{
-		Submitted:    c.submitted,
-		Acked:        c.acked,
-		DeadLettered: c.dead,
-		Dropped:      c.dropped,
-		Lost:         c.lost,
-		Resurrected:  c.resurrected,
-		Exhausted:    c.exhausted,
-		Expired:      c.expired,
-		BudgetDenied: c.budgetDenied,
-		Shed:         c.shed,
-		MigratedOut:  c.migratedOut,
-		MigratedIn:   c.migratedIn,
+		Submitted:    c[cSubmitted],
+		Acked:        c[cAcked],
+		DeadLettered: c[cDead],
+		Dropped:      c[cDropped],
+		Lost:         c[cLost],
+		Resurrected:  c[cResurrected],
+		Exhausted:    c[cExhausted],
+		Expired:      c[cExpired],
+		BudgetDenied: c[cBudgetDenied],
+		Shed:         c[cShed],
+		MigratedOut:  c[cMigratedOut],
+		MigratedIn:   c[cMigratedIn],
 	}
 }
 

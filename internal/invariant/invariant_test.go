@@ -7,6 +7,7 @@ import (
 
 	"xfaas/internal/cluster"
 	"xfaas/internal/function"
+	"xfaas/internal/lifecycle"
 	"xfaas/internal/sim"
 )
 
@@ -30,28 +31,28 @@ func call(id uint64, name string, region int) *function.Call {
 
 // drive walks one call through the happy path up to the given stage.
 func drive(k *Checker, c *function.Call, stage string) {
-	k.OnSubmit(c)
+	k.Observe(c, lifecycle.Submit, 0)
 	if stage == "submitted" {
 		return
 	}
-	k.OnEnqueue(c)
+	k.Observe(c, lifecycle.Enqueue, 0)
 	if stage == "queued" {
 		return
 	}
 	c.Attempt++
-	k.OnLease(c)
+	k.Observe(c, lifecycle.Lease, 0)
 	if stage == "leased" {
 		return
 	}
-	k.OnDispatch(c, 0, 0)
+	k.Observe(c, lifecycle.Dispatch, lifecycle.Ref(0, 0))
 	if stage == "running" {
 		return
 	}
-	k.OnComplete(c, 0, 0)
+	k.Observe(c, lifecycle.Complete, lifecycle.Ref(0, 0))
 	if stage == "completed" {
 		return
 	}
-	k.OnAck(c)
+	k.Observe(c, lifecycle.Ack, 0)
 }
 
 func wantViolation(t *testing.T, k *Checker, name string) {
@@ -74,17 +75,17 @@ func wantClean(t *testing.T, k *Checker) {
 func TestNilCheckerIsSafe(t *testing.T) {
 	var k *Checker
 	c := call(1, "f", 0)
-	k.OnSubmit(c)
-	k.OnEnqueue(c)
-	k.OnLease(c)
-	k.OnDispatch(c, 0, 0)
-	k.OnComplete(c, 0, 0)
-	k.OnAck(c)
-	k.OnNack(c)
-	k.OnExpired(c)
-	k.OnRetry(c)
-	k.OnDeadLetter(c)
-	k.OnDropped(c)
+	k.Observe(c, lifecycle.Submit, 0)
+	k.Observe(c, lifecycle.Enqueue, 0)
+	k.Observe(c, lifecycle.Lease, 0)
+	k.Observe(c, lifecycle.Dispatch, lifecycle.Ref(0, 0))
+	k.Observe(c, lifecycle.Complete, lifecycle.Ref(0, 0))
+	k.Observe(c, lifecycle.Ack, 0)
+	k.Observe(c, lifecycle.Nack, 0)
+	k.Observe(c, lifecycle.LeaseExpired, 0)
+	k.Observe(c, lifecycle.Retry, 0)
+	k.Observe(c, lifecycle.DeadLetter, 0)
+	k.Observe(c, lifecycle.Dropped, 0)
 	k.Note("x", "y")
 	k.RegisterProbe("p", func(sim.Time) []string { return []string{"boom"} })
 	if k.Enabled() || k.Final() != nil || k.Violations() != nil ||
@@ -118,13 +119,13 @@ func TestRetryPathIsClean(t *testing.T) {
 	_, k := newTestChecker(t)
 	c := call(1, "f", 1)
 	drive(k, c, "running")
-	k.OnNack(c)
-	k.OnRetry(c)
+	k.Observe(c, lifecycle.Nack, 0)
+	k.Observe(c, lifecycle.Retry, 0)
 	c.Attempt++
-	k.OnLease(c)
-	k.OnDispatch(c, 1, 2)
-	k.OnComplete(c, 1, 2)
-	k.OnAck(c)
+	k.Observe(c, lifecycle.Lease, 0)
+	k.Observe(c, lifecycle.Dispatch, lifecycle.Ref(1, 2))
+	k.Observe(c, lifecycle.Complete, lifecycle.Ref(1, 2))
+	k.Observe(c, lifecycle.Ack, 0)
 	wantClean(t, k)
 }
 
@@ -132,8 +133,8 @@ func TestDeadLetterPathIsClean(t *testing.T) {
 	_, k := newTestChecker(t)
 	c := call(1, "f", 2)
 	drive(k, c, "running")
-	k.OnExpired(c)
-	k.OnDeadLetter(c)
+	k.Observe(c, lifecycle.LeaseExpired, 0)
+	k.Observe(c, lifecycle.DeadLetter, 0)
 	wantClean(t, k)
 	tot := k.Totals()
 	if tot.DeadLettered != 1 || tot.Gap() != 0 {
@@ -144,8 +145,8 @@ func TestDeadLetterPathIsClean(t *testing.T) {
 func TestDropPathIsClean(t *testing.T) {
 	_, k := newTestChecker(t)
 	c := call(1, "f", 0)
-	k.OnSubmit(c)
-	k.OnDropped(c)
+	k.Observe(c, lifecycle.Submit, 0)
+	k.Observe(c, lifecycle.Dropped, 0)
 	wantClean(t, k)
 	if tot := k.Totals(); tot.Dropped != 1 || tot.Gap() != 0 {
 		t.Fatalf("bad totals %+v", tot)
@@ -154,8 +155,8 @@ func TestDropPathIsClean(t *testing.T) {
 
 func TestDuplicateIDViolates(t *testing.T) {
 	_, k := newTestChecker(t)
-	k.OnSubmit(call(7, "f", 0))
-	k.OnSubmit(call(7, "g", 0))
+	k.Observe(call(7, "f", 0), lifecycle.Submit, 0)
+	k.Observe(call(7, "g", 0), lifecycle.Submit, 0)
 	wantViolation(t, k, "duplicate-call-id")
 }
 
@@ -163,7 +164,7 @@ func TestLeaseExclusivityViolates(t *testing.T) {
 	_, k := newTestChecker(t)
 	c := call(1, "f", 0)
 	drive(k, c, "running")
-	k.OnDispatch(c, 0, 1) // second dispatch with no settle in between
+	k.Observe(c, lifecycle.Dispatch, lifecycle.Ref(0, 1)) // second dispatch with no settle in between
 	wantViolation(t, k, "lease-exclusivity")
 }
 
@@ -171,9 +172,9 @@ func TestAttemptMonotonicityViolates(t *testing.T) {
 	_, k := newTestChecker(t)
 	c := call(1, "f", 0)
 	drive(k, c, "running")
-	k.OnNack(c)
-	k.OnRetry(c)
-	k.OnLease(c) // same attempt number again
+	k.Observe(c, lifecycle.Nack, 0)
+	k.Observe(c, lifecycle.Retry, 0)
+	k.Observe(c, lifecycle.Lease, 0) // same attempt number again
 	wantViolation(t, k, "attempt-not-monotone")
 }
 
@@ -181,7 +182,7 @@ func TestDropAfterPersistenceViolates(t *testing.T) {
 	_, k := newTestChecker(t)
 	c := call(1, "f", 0)
 	drive(k, c, "queued")
-	k.OnDropped(c)
+	k.Observe(c, lifecycle.Dropped, 0)
 	wantViolation(t, k, "drop-from-queued")
 }
 
@@ -189,7 +190,7 @@ func TestDoubleCompleteSameWorkerViolates(t *testing.T) {
 	_, k := newTestChecker(t)
 	c := call(1, "f", 0)
 	drive(k, c, "completed")
-	k.OnComplete(c, 0, 0) // the same execution completing twice
+	k.Observe(c, lifecycle.Complete, lifecycle.Ref(0, 0)) // the same execution completing twice
 	wantViolation(t, k, "complete-from-completed")
 }
 
@@ -200,14 +201,14 @@ func TestStaleCompletionTolerated(t *testing.T) {
 	_, k := newTestChecker(t)
 	c := call(1, "f", 0)
 	drive(k, c, "running") // running on w-0-0
-	k.OnExpired(c)
-	k.OnRetry(c)
+	k.Observe(c, lifecycle.LeaseExpired, 0)
+	k.Observe(c, lifecycle.Retry, 0)
 	c.Attempt++
-	k.OnLease(c)
-	k.OnDispatch(c, 0, 5) // redelivered to w-0-5
-	k.OnComplete(c, 0, 0) // stale completion from w-0-0
-	k.OnComplete(c, 0, 5) // real completion
-	k.OnAck(c)
+	k.Observe(c, lifecycle.Lease, 0)
+	k.Observe(c, lifecycle.Dispatch, lifecycle.Ref(0, 5)) // redelivered to w-0-5
+	k.Observe(c, lifecycle.Complete, lifecycle.Ref(0, 0)) // stale completion from w-0-0
+	k.Observe(c, lifecycle.Complete, lifecycle.Ref(0, 5)) // real completion
+	k.Observe(c, lifecycle.Ack, 0)
 	wantClean(t, k)
 	if k.LateEvents() != 1 {
 		t.Fatalf("late events = %d, want 1", k.LateEvents())
@@ -218,9 +219,9 @@ func TestPostTerminalEventsTolerated(t *testing.T) {
 	_, k := newTestChecker(t)
 	c := call(1, "f", 0)
 	drive(k, c, "acked")
-	k.OnComplete(c, 0, 0)
-	k.OnAck(c)
-	k.OnNack(c)
+	k.Observe(c, lifecycle.Complete, lifecycle.Ref(0, 0))
+	k.Observe(c, lifecycle.Ack, 0)
+	k.Observe(c, lifecycle.Nack, 0)
 	wantClean(t, k)
 	if k.LateEvents() != 3 {
 		t.Fatalf("late events = %d, want 3", k.LateEvents())
@@ -233,11 +234,11 @@ func TestEarlyAckTolerated(t *testing.T) {
 	_, k := newTestChecker(t)
 	c := call(1, "f", 0)
 	drive(k, c, "running")
-	k.OnExpired(c)
-	k.OnRetry(c)
+	k.Observe(c, lifecycle.LeaseExpired, 0)
+	k.Observe(c, lifecycle.Retry, 0)
 	c.Attempt++
-	k.OnLease(c)
-	k.OnAck(c) // stale scheduler acks the redelivered lease
+	k.Observe(c, lifecycle.Lease, 0)
+	k.Observe(c, lifecycle.Ack, 0) // stale scheduler acks the redelivered lease
 	wantClean(t, k)
 	if tot := k.Totals(); tot.Acked != 1 || tot.InFlight != 0 {
 		t.Fatalf("bad totals %+v", tot)
@@ -254,7 +255,7 @@ func TestLocalityCheckRuns(t *testing.T) {
 	}
 	c := call(1, "f", 0)
 	drive(k, c, "leased")
-	k.OnDispatch(c, 0, 9)
+	k.Observe(c, lifecycle.Dispatch, lifecycle.Ref(0, 9))
 	wantViolation(t, k, "locality")
 }
 
@@ -288,7 +289,7 @@ func TestMaxViolationsBounds(t *testing.T) {
 	engine := sim.NewEngine()
 	k := NewChecker(engine, Params{Enabled: true, MaxViolations: 3}, 1)
 	for i := uint64(1); i <= 10; i++ {
-		k.OnSubmit(call(5, "f", 0)) // duplicate IDs after the first
+		k.Observe(call(5, "f", 0), lifecycle.Submit, 0) // duplicate IDs after the first
 	}
 	if got := len(k.Violations()); got != 3 {
 		t.Fatalf("retained %d violations, want 3", got)
@@ -301,8 +302,8 @@ func TestMaxViolationsBounds(t *testing.T) {
 func TestNoteAttachesContext(t *testing.T) {
 	_, k := newTestChecker(t)
 	k.Note("chaos.crash", "worker w-0-3")
-	k.OnSubmit(call(1, "f", 0))
-	k.OnSubmit(call(1, "f", 0))
+	k.Observe(call(1, "f", 0), lifecycle.Submit, 0)
+	k.Observe(call(1, "f", 0), lifecycle.Submit, 0)
 	vs := k.Violations()
 	if len(vs) != 1 || !strings.Contains(vs[0].Context, "chaos.crash") {
 		t.Fatalf("context not attached: %+v", vs)
@@ -345,8 +346,8 @@ func TestViolationStringFormat(t *testing.T) {
 func TestMigrateOutFromSubmittedIsClean(t *testing.T) {
 	_, k := newTestChecker(t)
 	c := call(1, "f", 0)
-	k.OnSubmit(c)
-	k.OnMigrateOut(c)
+	k.Observe(c, lifecycle.Submit, 0)
+	k.Observe(c, lifecycle.Migrated, 0)
 	wantClean(t, k)
 	tt := k.Totals()
 	if tt.MigratedOut != 1 || tt.InFlight != 0 {
@@ -360,14 +361,14 @@ func TestMigrateOutFromSubmittedIsClean(t *testing.T) {
 func TestMigrateInEntersLikeSubmission(t *testing.T) {
 	_, k := newTestChecker(t)
 	c := call(7, "f", 1)
-	k.OnMigrateIn(c)
+	k.Observe(c, lifecycle.MigrateIn, 0)
 	drive2 := func() {
-		k.OnEnqueue(c)
+		k.Observe(c, lifecycle.Enqueue, 0)
 		c.Attempt++
-		k.OnLease(c)
-		k.OnDispatch(c, 0, 0)
-		k.OnComplete(c, 0, 0)
-		k.OnAck(c)
+		k.Observe(c, lifecycle.Lease, 0)
+		k.Observe(c, lifecycle.Dispatch, lifecycle.Ref(0, 0))
+		k.Observe(c, lifecycle.Complete, lifecycle.Ref(0, 0))
+		k.Observe(c, lifecycle.Ack, 0)
 	}
 	drive2()
 	wantClean(t, k)
@@ -384,29 +385,29 @@ func TestMigrateOutAfterPersistenceViolates(t *testing.T) {
 	_, k := newTestChecker(t)
 	c := call(2, "f", 0)
 	drive(k, c, "queued")
-	k.OnMigrateOut(c)
+	k.Observe(c, lifecycle.Migrated, 0)
 	wantViolation(t, k, "migrate-from-queued")
 }
 
 func TestMigrateOutUnknownViolates(t *testing.T) {
 	_, k := newTestChecker(t)
-	k.OnMigrateOut(call(3, "f", 0))
+	k.Observe(call(3, "f", 0), lifecycle.Migrated, 0)
 	wantViolation(t, k, "migrate-unknown")
 }
 
 func TestMigrateInDuplicateViolates(t *testing.T) {
 	_, k := newTestChecker(t)
 	c := call(4, "f", 0)
-	k.OnSubmit(c)
-	k.OnMigrateIn(c)
+	k.Observe(c, lifecycle.Submit, 0)
+	k.Observe(c, lifecycle.MigrateIn, 0)
 	wantViolation(t, k, "duplicate-call-id")
 }
 
 func TestMigrateNilCheckerIsSafe(t *testing.T) {
 	var k *Checker
 	c := call(5, "f", 0)
-	k.OnMigrateOut(c)
-	k.OnMigrateIn(c)
+	k.Observe(c, lifecycle.Migrated, 0)
+	k.Observe(c, lifecycle.MigrateIn, 0)
 	if k.Totals() != (Tally{}) {
 		t.Fatal("nil checker has totals")
 	}
@@ -415,8 +416,8 @@ func TestMigrateNilCheckerIsSafe(t *testing.T) {
 func TestMigratedInCanBeDropped(t *testing.T) {
 	_, k := newTestChecker(t)
 	c := call(6, "f", 0)
-	k.OnMigrateIn(c)
-	k.OnDropped(c)
+	k.Observe(c, lifecycle.MigrateIn, 0)
+	k.Observe(c, lifecycle.Dropped, 0)
 	wantClean(t, k)
 	tt := k.Totals()
 	if tt.MigratedIn != 1 || tt.Dropped != 1 || tt.Gap() != 0 {

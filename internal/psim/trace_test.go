@@ -3,7 +3,7 @@ package psim
 import (
 	"testing"
 
-	"xfaas/internal/trace"
+	"xfaas/internal/lifecycle"
 )
 
 // TestMigratedTraceStitching is the regression gate for cross-partition
@@ -31,7 +31,7 @@ func TestMigratedTraceStitching(t *testing.T) {
 			}
 			hasMig := false
 			for _, e := range ct.Events {
-				if e.Kind == trace.KindMigrated {
+				if e.Kind == lifecycle.Migrated {
 					hasMig = true
 					break
 				}
@@ -42,11 +42,11 @@ func TestMigratedTraceStitching(t *testing.T) {
 			migrated++
 			// A stitched trace must not be finalized by the migration event
 			// itself: its outcome is the call's real disposition.
-			if ct.Outcome == trace.KindMigrated {
+			if ct.Outcome == lifecycle.Migrated {
 				t.Errorf("call %d finalized at migration (unstitched trace)", ct.ID)
 				continue
 			}
-			if ct.Outcome == trace.KindAck {
+			if ct.Outcome == lifecycle.Ack {
 				acked++
 			}
 			c, ok := ct.Breakdown()
@@ -62,7 +62,7 @@ func TestMigratedTraceStitching(t *testing.T) {
 			}
 			// Fabric transit takes real simulated time, and it must be
 			// charged to the migrate phase, not smeared into submit or queue.
-			if ct.Outcome == trace.KindAck && c.Migrate <= 0 {
+			if ct.Outcome == lifecycle.Ack && c.Migrate <= 0 {
 				t.Errorf("call %d: acked migrated trace has migrate=%v, want > 0", ct.ID, c.Migrate)
 			}
 		}

@@ -58,6 +58,10 @@ type funcState struct {
 	// probe points, so the ceiling check needs the window's high
 	// watermark, not the instantaneous limit).
 	peakLimit float64
+	// takenAt and taken remember the last read of the watermark, so a
+	// second read at the same instant sees the same window.
+	takenAt sim.Time
+	taken   float64
 }
 
 // NewCentral returns a limiter measuring RPS over a 10-second window.
@@ -115,6 +119,7 @@ func (c *Central) state(spec *function.Spec) *funcState {
 			spec:    spec,
 			avgCost: seed,
 			rate:    stats.NewWindowRate(time.Second, int(c.window/time.Second)),
+			takenAt: -1,
 		}
 		c.funcs[spec.Name] = fs
 	}
@@ -204,10 +209,18 @@ func (c *Central) Window() time.Duration { return c.window }
 // — the high-watermark limit plus the burst allowance amortized over the
 // window — and resets the watermark. Negative means unlimited (no
 // quota). The invariant checker's quota-ceiling probe compares
-// CurrentRPS against this bound.
+// CurrentRPS against this bound. Reads are idempotent per instant: a
+// repeat read at the same virtual time (a periodic probe and the run-end
+// evaluation coinciding) measures the same window, so it gets the peak
+// the first read took, raised by any newer watermark.
 func (c *Central) TakePeakAllowedRPS(spec *function.Spec) float64 {
 	fs := c.state(spec)
+	now := c.engine.Now()
 	peak := fs.peakLimit
+	if fs.takenAt == now && fs.taken > peak {
+		peak = fs.taken
+	}
+	fs.taken, fs.takenAt = peak, now
 	fs.peakLimit = c.RPSLimit(spec)
 	if peak < 0 || (peak == 0 && fs.peakLimit < 0) {
 		return -1

@@ -233,6 +233,35 @@ func TestTokenBucketSetBurst(t *testing.T) {
 	b.SetBurst(0, 0)
 }
 
+// Evaluating the quota-ceiling probe twice at one instant must give the
+// same bound: the second read covers the same measured window as the
+// first, not just the limit in force after the first read reset the
+// watermark.
+func TestPeakAllowedIdempotentPerInstant(t *testing.T) {
+	e := sim.NewEngine()
+	c := NewCentral(e)
+	s := reservedSpec("opp", 100)
+	s.Quota = function.QuotaOpportunistic
+	for i := 0; i < 50; i++ {
+		c.Allow(s) // watermark at the S=1 limit
+	}
+	e.RunFor(5 * time.Second)
+	c.SetScale(0.1) // the limit drops inside the window
+	first := c.TakePeakAllowedRPS(s)
+	second := c.TakePeakAllowedRPS(s)
+	if first != second {
+		t.Fatalf("repeat read at one instant: %v then %v", first, second)
+	}
+	if first < 100 {
+		t.Fatalf("bound %v forgot the window's S=1 peak", first)
+	}
+	// A later instant starts a new window at the current limit.
+	e.RunFor(time.Minute)
+	if later := c.TakePeakAllowedRPS(s); later >= first {
+		t.Fatalf("next window's bound %v kept the old peak %v", later, first)
+	}
+}
+
 func TestScaleChangeRebuildsBucket(t *testing.T) {
 	e := sim.NewEngine()
 	c := NewCentral(e)

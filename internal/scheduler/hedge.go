@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"xfaas/internal/function"
+	"xfaas/internal/lifecycle"
 	"xfaas/internal/sim"
 	"xfaas/internal/stats"
-	"xfaas/internal/trace"
 	"xfaas/internal/worker"
 )
 
@@ -26,10 +26,10 @@ import (
 // Conservation: the speculative copy is a shallow clone sharing the
 // primary's call ID and never touches a DurableQ, so the invariant ledger
 // keeps exactly one entry per call. The ledger tracks the clone's worker
-// as a hedge ref (OnHedgeDispatch); a hedge win swaps the entry's
-// execution ref to the winner (OnHedgeWin) before the normal completion
+// as a hedge ref (HedgeDispatch); a hedge win swaps the entry's
+// execution ref to the winner (HedgeWin) before the normal completion
 // flow settles it, and every other disposition clears the ref
-// (OnHedgeCancel) — so lease exclusivity and the orphaned-copy machinery
+// (HedgeCancel) — so lease exclusivity and the orphaned-copy machinery
 // keep working unchanged.
 
 // HedgeBudget is one region's hedge token bucket, shared by its scheduler
@@ -237,8 +237,7 @@ func (s *Scheduler) fireHedge(e *hedgeEntry) {
 	e.clone = clone
 	e.hw = hw
 	s.Hedged.Inc()
-	s.Trace.Record(c, trace.KindHedgeDispatch, trace.Ref(hw.ID.Region, hw.ID.Index))
-	s.Inv.OnHedgeDispatch(c, int(hw.ID.Region), hw.ID.Index)
+	s.Events.Emit(c, lifecycle.HedgeDispatch, lifecycle.Ref(hw.ID.Region, hw.ID.Index))
 }
 
 // completeHedged intercepts completion callbacks for calls with a live
@@ -254,8 +253,7 @@ func (s *Scheduler) completeHedged(c *function.Call, err error) bool {
 			// The speculative copy lost by failing. Drop it; the primary
 			// (or, if the primary already failed too, the normal nack
 			// path) finishes the call.
-			s.Trace.Record(e.primary, trace.KindHedgeCancel, trace.Ref(e.hw.ID.Region, e.hw.ID.Index))
-			s.Inv.OnHedgeCancel(e.primary)
+			s.Events.Emit(e.primary, lifecycle.HedgeCancel, lifecycle.Ref(e.hw.ID.Region, e.hw.ID.Index))
 			e.clone = nil
 			e.hw = nil
 			if e.primaryFailed {
@@ -280,8 +278,7 @@ func (s *Scheduler) completeHedged(c *function.Call, err error) bool {
 		p.ExecStartAt = c.ExecStartAt
 		p.ExecEndAt = c.ExecEndAt
 		s.HedgeWins.Inc()
-		s.Trace.Record(p, trace.KindHedgeWin, trace.Ref(hw.ID.Region, hw.ID.Index))
-		s.Inv.OnHedgeWin(p, int(hw.ID.Region), hw.ID.Index)
+		s.Events.Emit(p, lifecycle.HedgeWin, lifecycle.Ref(hw.ID.Region, hw.ID.Index))
 		delete(s.hedges, p.ID)
 		s.putHedge(e)
 		s.settle(p, nil)
@@ -295,8 +292,7 @@ func (s *Scheduler) completeHedged(c *function.Call, err error) bool {
 		if e.clone != nil {
 			e.hw.Cancel(c.ID)
 			s.HedgeCancelled.Inc()
-			s.Trace.Record(c, trace.KindHedgeCancel, trace.Ref(e.hw.ID.Region, e.hw.ID.Index))
-			s.Inv.OnHedgeCancel(c)
+			s.Events.Emit(c, lifecycle.HedgeCancel, lifecycle.Ref(e.hw.ID.Region, e.hw.ID.Index))
 		}
 		delete(s.hedges, c.ID)
 		s.putHedge(e)
@@ -317,7 +313,7 @@ func (s *Scheduler) completeHedged(c *function.Call, err error) bool {
 }
 
 // retrack moves the call's in-flight tracking to the hedge worker so the
-// settle path (untrack, OnComplete, evacuation bookkeeping) sees the
+// settle path (untrack, Complete, evacuation bookkeeping) sees the
 // winner.
 func (s *Scheduler) retrack(c *function.Call, to *worker.Worker) {
 	w, ok := s.inflight[c.ID]
@@ -347,8 +343,7 @@ func (s *Scheduler) abortHedge(id uint64) {
 	if e.clone != nil {
 		e.hw.Cancel(id)
 		s.HedgeCancelled.Inc()
-		s.Trace.Record(e.primary, trace.KindHedgeCancel, trace.Ref(e.hw.ID.Region, e.hw.ID.Index))
-		s.Inv.OnHedgeCancel(e.primary)
+		s.Events.Emit(e.primary, lifecycle.HedgeCancel, lifecycle.Ref(e.hw.ID.Region, e.hw.ID.Index))
 	}
 	delete(s.hedges, id)
 	s.putHedge(e)

@@ -8,6 +8,7 @@ import (
 	"xfaas/internal/congestion"
 	"xfaas/internal/durableq"
 	"xfaas/internal/function"
+	"xfaas/internal/lifecycle"
 	"xfaas/internal/policy"
 	"xfaas/internal/ratelimit"
 	"xfaas/internal/rng"
@@ -56,7 +57,7 @@ func TestPullPolicyDrawSequence(t *testing.T) {
 	}
 	schedSrc := src.Split()
 	sched := New(engine, schedSrc, 0, params, [][]*durableq.Shard{{shard}}, lb, cen, cong, store)
-	sched.Trace = rec
+	sched.Events = lifecycle.NewStream(rec, nil)
 	if sched.Policy().Name() != config.PolicyPull {
 		t.Fatalf("installed policy %q", sched.Policy().Name())
 	}
@@ -87,7 +88,7 @@ func TestPullPolicyDrawSequence(t *testing.T) {
 			CPUWorkM: 0, MemMB: 1, ExecSecs: 0.1,
 		}
 		shard.Enqueue(c)
-		rec.OnSubmit(c)
+		rec.Observe(c, lifecycle.Submit, 0)
 	}
 
 	engine.RunFor(2 * time.Second) // one tick polls, schedules and dispatches everything
@@ -103,8 +104,8 @@ func TestPullPolicyDrawSequence(t *testing.T) {
 		}
 		got := -1
 		for _, ev := range tr.Events {
-			if ev.Kind == trace.KindDispatch {
-				_, got = trace.SplitRef(ev.Arg)
+			if ev.Kind == lifecycle.Dispatch {
+				_, got = lifecycle.SplitRef(ev.Arg)
 			}
 		}
 		if got != want {

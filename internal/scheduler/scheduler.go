@@ -21,14 +21,13 @@ import (
 	"xfaas/internal/durableq"
 	"xfaas/internal/function"
 	"xfaas/internal/gtc"
-	"xfaas/internal/invariant"
 	"xfaas/internal/isolation"
+	"xfaas/internal/lifecycle"
 	"xfaas/internal/policy"
 	"xfaas/internal/ratelimit"
 	"xfaas/internal/rng"
 	"xfaas/internal/sim"
 	"xfaas/internal/stats"
-	"xfaas/internal/trace"
 	"xfaas/internal/worker"
 	"xfaas/internal/workerlb"
 
@@ -184,11 +183,9 @@ type Scheduler struct {
 	// call (platform-level series aggregation).
 	OnExecuted func(*function.Call)
 
-	// Trace, when set, records scheduling decisions for sampled calls.
-	Trace *trace.Recorder
-	// Inv, when set, receives dispatch/complete transitions for the
-	// invariant checker's lease-exclusivity and conservation ledger.
-	Inv *invariant.Checker
+	// Events, when set, receives admission, dispatch and completion
+	// transitions and the scheduler's control events.
+	Events *lifecycle.Stream
 
 	// Metrics.
 	Polled           stats.Counter
@@ -293,7 +290,7 @@ func (s *Scheduler) onWorkerDown(w *worker.Worker) {
 		s.abortHedge(id)
 		delete(s.inflight, id)
 		s.cong.OnComplete(c.Spec)
-		s.Trace.Record(c, trace.KindEvacuated, 0)
+		s.Events.Emit(c, lifecycle.Evacuated, 0)
 		s.nack(c)
 		s.Evacuated.Inc()
 	}
@@ -400,7 +397,7 @@ func (s *Scheduler) Crash() {
 	s.oppGate = false
 	s.pol = s.newPolicy()
 	s.pol.Attach(s)
-	s.Trace.Control("scheduler.crash", fmt.Sprintf("r%d", s.region))
+	s.Events.Control("scheduler.crash", fmt.Sprintf("r%d", s.region))
 }
 
 // Restart brings a crashed replica back after delay (process start plus
@@ -410,7 +407,7 @@ func (s *Scheduler) Crash() {
 func (s *Scheduler) Restart(delay time.Duration) {
 	s.engine.Schedule(delay, func() {
 		s.down = false
-		s.Trace.Control("scheduler.restart", fmt.Sprintf("r%d", s.region))
+		s.Events.Control("scheduler.restart", fmt.Sprintf("r%d", s.region))
 	})
 }
 
@@ -557,7 +554,7 @@ func (s *Scheduler) shedSweep() {
 		if b.Len() == 0 {
 			if st != nil && (st.above || st.shedding) {
 				if st.shedding {
-					s.Trace.Control("shed.stop", fmt.Sprintf("r%d %s drained", s.region, name))
+					s.Events.Control("shed.stop", fmt.Sprintf("r%d %s drained", s.region, name))
 				}
 				*st = shedState{}
 			}
@@ -576,7 +573,7 @@ func (s *Scheduler) shedSweep() {
 		if delay <= target {
 			if st != nil && (st.above || st.shedding) {
 				if st.shedding {
-					s.Trace.Control("shed.stop", fmt.Sprintf("r%d %s delay=%s", s.region, name, delay))
+					s.Events.Control("shed.stop", fmt.Sprintf("r%d %s delay=%s", s.region, name, delay))
 				}
 				*st = shedState{}
 			}
@@ -598,7 +595,7 @@ func (s *Scheduler) shedSweep() {
 		}
 		if !st.shedding {
 			st.shedding = true
-			s.Trace.Control("shed.start", fmt.Sprintf("r%d %s delay=%s target=%s",
+			s.Events.Control("shed.start", fmt.Sprintf("r%d %s delay=%s target=%s",
 				s.region, name, delay, target))
 		}
 		if spec.Quota != function.QuotaOpportunistic || spec.Criticality >= function.CritHigh {
@@ -621,7 +618,7 @@ func (s *Scheduler) evacuate() {
 	for i := s.runHead; i < len(s.runQ); i++ {
 		if c := s.runQ[i]; c != nil {
 			s.cong.OnComplete(c.Spec) // release the concurrency slot
-			s.Trace.Record(c, trace.KindEvacuated, 0)
+			s.Events.Emit(c, lifecycle.Evacuated, 0)
 			s.nack(c)
 			s.Evacuated.Inc()
 		}
@@ -641,7 +638,7 @@ func (s *Scheduler) evacuate() {
 		b := s.buffers[name]
 		for b.Len() > 0 {
 			c := b.Pop()
-			s.Trace.Record(c, trace.KindEvacuated, 0)
+			s.Events.Emit(c, lifecycle.Evacuated, 0)
 			s.nack(c)
 			s.Evacuated.Inc()
 		}
@@ -829,27 +826,27 @@ func (s *Scheduler) scheduleLevel(cands []*FuncBuffer, space int) int {
 				// Illegal flow: reject permanently (NACK until DLQ).
 				b.Pop()
 				s.IsolationDenied.Inc()
-				s.Trace.Record(c, trace.KindIsolationDenied, 0)
+				s.Events.Emit(c, lifecycle.IsolationDenied, 0)
 				s.nack(c)
 				continue
 			}
 			if !s.cen.Allow(spec) {
 				s.QuotaThrottled.Inc()
-				s.Trace.Record(c, trace.KindQuotaDenied, 0)
+				s.Events.Emit(c, lifecycle.QuotaDenied, 0)
 				break // over global quota: the whole function waits
 			}
 			// Note: quota was already accounted; a congestion deny here
 			// leaves a small overcount, which is conservative.
 			if !s.cong.AllowDispatch(spec) {
 				s.CongestionDenied.Inc()
-				s.Trace.Record(c, trace.KindCongestionDenied, 0)
+				s.Events.Emit(c, lifecycle.CongestionDenied, 0)
 				break
 			}
 			b.Pop()
 			s.runQ = append(s.runQ, c)
 			s.runLen++
 			s.Scheduled.Inc()
-			s.Trace.Record(c, trace.KindScheduled, 0)
+			s.Events.Emit(c, lifecycle.Scheduled, 0)
 			s.pol.OnScheduled(c)
 			space--
 			taken++
@@ -904,8 +901,7 @@ func (s *Scheduler) dispatch() {
 		dispatched++
 		s.recordDispatchDelay(c)
 		s.Dispatched.Inc()
-		s.Trace.Record(c, trace.KindDispatch, trace.Ref(w.ID.Region, w.ID.Index))
-		s.Inv.OnDispatch(c, int(w.ID.Region), w.ID.Index)
+		s.Events.Emit(c, lifecycle.Dispatch, lifecycle.Ref(w.ID.Region, w.ID.Index))
 		s.armHedge(c, w)
 	}
 	s.compactRunQ()
@@ -958,8 +954,7 @@ func (s *Scheduler) DispatchWith(pick func(*function.Call) (*worker.Worker, bool
 		dispatched++
 		s.recordDispatchDelay(c)
 		s.Dispatched.Inc()
-		s.Trace.Record(c, trace.KindDispatch, trace.Ref(w.ID.Region, w.ID.Index))
-		s.Inv.OnDispatch(c, int(w.ID.Region), w.ID.Index)
+		s.Events.Emit(c, lifecycle.Dispatch, lifecycle.Ref(w.ID.Region, w.ID.Index))
 		s.armHedge(c, w)
 	}
 	s.compactRunQ()
@@ -1024,10 +1019,10 @@ func (s *Scheduler) settle(c *function.Call, err error) {
 	}
 	now := s.engine.Now()
 	s.cong.OnComplete(c.Spec)
-	s.Inv.OnComplete(c, int(w.ID.Region), w.ID.Index)
+	s.Events.Emit(c, lifecycle.Complete, lifecycle.Ref(w.ID.Region, w.ID.Index))
 	if errors.Is(err, downstream.ErrBackpressure) {
 		s.cong.OnBackpressure(c.Spec)
-		s.Trace.Record(c, trace.KindBackpressure, 0)
+		s.Events.Emit(c, lifecycle.Backpressure, 0)
 	}
 	if err != nil {
 		s.nack(c)
@@ -1044,7 +1039,7 @@ func (s *Scheduler) settle(c *function.Call, err error) {
 	s.cen.RecordCost(c.Spec, c.CPUWorkM)
 	if c.Expired(now) {
 		s.SLOMisses.Inc()
-		s.Trace.Record(c, trace.KindSLOMiss, 0)
+		s.Events.Emit(c, lifecycle.SLOMiss, 0)
 	}
 	s.ExecutedSeries.Record(now, 1)
 	s.ExecutedCPUSeries.Record(now, c.CPUWorkM)
@@ -1119,7 +1114,7 @@ func (s *Scheduler) release(c *function.Call) {
 		return
 	}
 	delete(s.origin, c.ID)
-	s.Trace.Record(c, trace.KindEvacuated, 0)
+	s.Events.Emit(c, lifecycle.Evacuated, 0)
 	if shard.Release(c.ID) {
 		s.Released.Inc()
 	}

@@ -13,6 +13,7 @@ import (
 	"xfaas/internal/function"
 	"xfaas/internal/gtc"
 	"xfaas/internal/isolation"
+	"xfaas/internal/lifecycle"
 	"xfaas/internal/ratelimit"
 	"xfaas/internal/rng"
 	"xfaas/internal/sim"
@@ -500,7 +501,7 @@ func TestEvacuateSweepsBuffersInSortedOrder(t *testing.T) {
 		Enabled: true, SampleEvery: 1, RingSize: 256,
 		MaxEventsPerCall: 32, ControlLog: 16,
 	})
-	shard.Trace = rec
+	shard.Events = lifecycle.NewStream(rec, nil)
 	src := rng.New(7)
 	wp := worker.DefaultParams()
 	pool := []*worker.Worker{worker.New(worker.ID{Index: 0}, engine, wp, src.Split(), nil)}
@@ -526,7 +527,7 @@ func TestEvacuateSweepsBuffersInSortedOrder(t *testing.T) {
 				CPUWorkM: 1, MemMB: 1, ExecSecs: 0.1,
 			}
 			shard.Enqueue(c)
-			rec.OnSubmit(c)
+			rec.Observe(c, lifecycle.Submit, 0)
 			calls = append(calls, c)
 		}
 	}
@@ -561,7 +562,7 @@ func TestEvacuateSweepsBuffersInSortedOrder(t *testing.T) {
 		}
 		got := time.Duration(-1)
 		for _, ev := range tr.Events {
-			if ev.Kind == trace.KindRetry {
+			if ev.Kind == lifecycle.Retry {
 				got = time.Duration(ev.Arg)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"xfaas/internal/lifecycle"
 	"xfaas/internal/sim"
 )
 
@@ -56,18 +57,18 @@ func (t *CallTrace) Breakdown() (Components, bool) {
 	haveEnq, haveLease, haveDisp, haveMig := false, false, false, false
 	for _, e := range t.Events {
 		switch e.Kind {
-		case KindEnqueue:
+		case lifecycle.Enqueue:
 			if !haveEnq {
 				enq1, haveEnq = e.At, true
 			}
-		case KindLease:
+		case lifecycle.Lease:
 			if !haveLease {
 				lease1, haveLease = e.At, true
 			}
 			leaseF = e.At
-		case KindDispatch:
+		case lifecycle.Dispatch:
 			dispLast, haveDisp = e.At, true
-		case KindMigrated:
+		case lifecycle.Migrated:
 			if !haveMig {
 				mig, haveMig = e.At, true
 			}
@@ -179,7 +180,7 @@ func Aggregate(traces []*CallTrace, key func(*CallTrace) string) []Agg {
 			keys = append(keys, k)
 		}
 		a.Count++
-		if t.Outcome == KindAck {
+		if t.Outcome == lifecycle.Ack {
 			a.Acked++
 		}
 		a.Sum.Submit += c.Submit
@@ -204,30 +205,30 @@ func Aggregate(traces []*CallTrace, key func(*CallTrace) string) []Agg {
 }
 
 // FormatArg renders an event's arg for humans, per kind.
-func FormatArg(k Kind, arg int64) string {
+func FormatArg(k lifecycle.Kind, arg int64) string {
 	switch k {
-	case KindRoute:
+	case lifecycle.Route:
 		return fmt.Sprintf("dst=r%d", arg)
-	case KindEnqueue:
-		r, i := SplitRef(arg)
+	case lifecycle.Enqueue:
+		r, i := lifecycle.SplitRef(arg)
 		return fmt.Sprintf("shard=dq-%d-%d", r, i)
-	case KindLease:
+	case lifecycle.Lease:
 		return fmt.Sprintf("attempt=%d", arg)
-	case KindDispatch:
-		r, i := SplitRef(arg)
+	case lifecycle.Dispatch:
+		r, i := lifecycle.SplitRef(arg)
 		return fmt.Sprintf("worker=w-%d-%d", r, i)
-	case KindExecEnd:
+	case lifecycle.ExecEnd:
 		if arg != 0 {
 			return "err=1"
 		}
 		return "ok"
-	case KindDownstreamRetry:
+	case lifecycle.DownstreamRetry:
 		return fmt.Sprintf("retries=%d", arg)
-	case KindRetry:
+	case lifecycle.Retry:
 		return fmt.Sprintf("backoff=%s", sim.Time(arg))
-	case KindDeadLetter:
+	case lifecycle.DeadLetter:
 		return fmt.Sprintf("attempts=%d", arg)
-	case KindMigrated:
+	case lifecycle.Migrated:
 		return fmt.Sprintf("dst-part=%d", arg)
 	default:
 		return ""

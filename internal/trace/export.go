@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 
+	"xfaas/internal/lifecycle"
 	"xfaas/internal/sim"
 )
 
@@ -62,7 +63,7 @@ func WriteChrome(w io.Writer, traces []*CallTrace) error {
 		phase("sched", int64(c.Sched))
 		phase("exec", int64(c.Exec))
 		for _, e := range t.Events {
-			if e.Kind == KindSubmit {
+			if e.Kind == lifecycle.Submit {
 				continue
 			}
 			ev := chromeEvent{

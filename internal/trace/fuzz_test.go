@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"xfaas/internal/cluster"
+	"xfaas/internal/lifecycle"
 	"xfaas/internal/sim"
 )
 
@@ -31,10 +32,10 @@ func tracesFromBytes(data []byte) []*CallTrace {
 			id++
 			out = append(out, cur)
 		}
-		k := Kind(data[i+1] % uint8(numKinds))
+		k := lifecycle.Kind(data[i+1] % uint8(lifecycle.NumKinds))
 		at += sim.Time(int64(data[i+2])) * sim.Time(time.Millisecond)
 		cur.Events = append(cur.Events, Event{At: at, Kind: k, Arg: int64(data[i+3]) - 100})
-		if k == KindAck || k == KindDeadLetter || k == KindDropped {
+		if k == lifecycle.Ack || k == lifecycle.DeadLetter || k == lifecycle.Dropped {
 			cur.Done = true
 			cur.EndAt = at
 			cur.Outcome = k

@@ -1,9 +1,10 @@
 // Package trace is the platform's deterministic per-call tracing layer
-// and control-plane event log. A Recorder threaded through core.Platform
-// collects spans on the simulated clock for a seeded sample of calls —
-// submit, route, DurableQ enqueue→lease, scheduler admission decisions
-// (quota, congestion, isolation), dispatch, execution, retries,
-// back-pressure and evacuations — into bounded buffers, alongside a
+// and control-plane event log. A Recorder subscribed to the platform's
+// lifecycle stream (internal/lifecycle) collects spans on the simulated
+// clock for a seeded sample of calls — submit, route, DurableQ
+// enqueue→lease, scheduler admission decisions (quota, congestion,
+// isolation), dispatch, execution, retries, back-pressure and
+// evacuations — into bounded buffers, alongside a
 // separate ring of control-plane events (chaos injections, breaker and
 // health-state transitions, AIMD backoffs, shed-level changes).
 //
@@ -16,11 +17,11 @@
 //     other. Retention (recent ring, slowest-K heap) uses only virtual
 //     time and call IDs as tie-breaks.
 //
-//   - Zero-alloc when disabled: every per-call hook starts with a
-//     nil/flag check (`r == nil || !c.Sampled`) and returns before
-//     touching any state, so instrumented hot paths cost nothing when
-//     tracing is off. Control-plane events are always recorded; they
-//     fire only on rare state transitions.
+//   - Zero-alloc when disabled: the stream hands the recorder only
+//     sampled calls (and submits while tracing is on), so instrumented
+//     hot paths cost a flag check when tracing is off. Control-plane
+//     events are always recorded; they fire only on rare state
+//     transitions.
 //
 // The Recorder is internally locked so HTTP readers (httpapi) can
 // snapshot traces while a paced engine advances under the server's own
@@ -32,132 +33,15 @@ import (
 
 	"xfaas/internal/cluster"
 	"xfaas/internal/function"
+	"xfaas/internal/lifecycle"
 	"xfaas/internal/sim"
 )
 
-// Kind labels one span event in a call's lifecycle.
-type Kind uint8
-
-const (
-	// KindSubmit: accepted by a submitter (ID assigned, batch-buffered).
-	KindSubmit Kind = iota
-	// KindRoute: QueueLB chose a destination region (arg: region).
-	KindRoute
-	// KindEnqueue: persisted into a DurableQ shard (arg: shard ref).
-	KindEnqueue
-	// KindLease: offered to a scheduler (arg: attempt number).
-	KindLease
-	// KindLeaseExpired: lease timed out without ACK/NACK.
-	KindLeaseExpired
-	// KindScheduled: moved FuncBuffer → RunQ past all admission gates.
-	KindScheduled
-	// KindQuotaDenied: blocked by the central rate limiter this tick.
-	KindQuotaDenied
-	// KindCongestionDenied: blocked by AIMD/slow-start/concurrency.
-	KindCongestionDenied
-	// KindIsolationDenied: argument-flow check rejected the call.
-	KindIsolationDenied
-	// KindDispatch: sent to a worker (arg: worker ref).
-	KindDispatch
-	// KindExecStart: execution began on a worker.
-	KindExecStart
-	// KindExecEnd: execution finished (arg: 0 ok, 1 error).
-	KindExecEnd
-	// KindDownstreamRetry: downstream sub-call needed retries
-	// (arg: extra attempts used).
-	KindDownstreamRetry
-	// KindBackpressure: completion carried a back-pressure exception.
-	KindBackpressure
-	// KindSLOMiss: completed after its deadline.
-	KindSLOMiss
-	// KindEvacuated: scheduler handed the call back (breaker open,
-	// detected outage, or detected worker death).
-	KindEvacuated
-	// KindNack: failed execution reported to the DurableQ.
-	KindNack
-	// KindRetry: requeued for redelivery (arg: backoff nanoseconds).
-	KindRetry
-	// KindAck: terminal success — removed from the DurableQ.
-	KindAck
-	// KindDeadLetter: terminal failure — retries exhausted
-	// (arg: attempts).
-	KindDeadLetter
-	// KindDropped: terminal — never persisted anywhere (total DurableQ
-	// outage at submission).
-	KindDropped
-	// KindLost: terminal — destroyed by a component crash before
-	// settling (a journal's torn tail, a submitter's unflushed batch).
-	KindLost
-	// KindRecovered: requeued by journal replay after a shard crash
-	// (arg: the journal op the call was recovered from).
-	KindRecovered
-	// KindExpired: terminal — swept to dead-letter past its deadline
-	// (arg: attempts).
-	KindExpired
-	// KindShed: terminal — dead-lettered by queue-delay shedding
-	// (arg: queue delay in nanoseconds).
-	KindShed
-	// KindBudgetExhausted: terminal — the function's retry budget was
-	// empty at redelivery time (arg: attempts).
-	KindBudgetExhausted
-	// KindMigrated: the call was handed to another partition over the
-	// parallel-simulation fabric (arg: destination partition). Not
-	// terminal: the trace is Extracted from the source recorder and
-	// Adopted by the destination's, so a migrated call keeps one span
-	// tree and the breakdown identity closes across partitions.
-	KindMigrated
-	// KindHedgeDispatch: a speculative copy was dispatched to a second
-	// worker because the primary execution outran the function's hedge
-	// delay (arg: hedge worker ref).
-	KindHedgeDispatch
-	// KindHedgeWin: the speculative copy finished first; the primary
-	// execution was cancelled (arg: winning worker ref).
-	KindHedgeWin
-	// KindHedgeCancel: the primary finished first; the speculative copy
-	// was cancelled (arg: cancelled worker ref).
-	KindHedgeCancel
-
-	numKinds
-)
-
-var kindNames = [numKinds]string{
-	"submit", "route", "enqueue", "lease", "lease-expired", "scheduled",
-	"quota-denied", "congestion-denied", "isolation-denied", "dispatch",
-	"exec-start", "exec-end", "downstream-retry", "backpressure",
-	"slo-miss", "evacuated", "nack", "retry", "ack", "dead-letter",
-	"dropped", "lost", "recovered", "expired", "shed", "budget-exhausted",
-	"migrated", "hedge-dispatch", "hedge-win", "hedge-cancel",
-}
-
-func (k Kind) String() string {
-	if int(k) < len(kindNames) {
-		return kindNames[k]
-	}
-	return "unknown"
-}
-
-// Terminal reports whether the kind ends a call's trace.
-func (k Kind) Terminal() bool {
-	return k == KindAck || k == KindDeadLetter || k == KindDropped ||
-		k == KindLost || k == KindExpired || k == KindShed ||
-		k == KindBudgetExhausted
-}
-
-// Ref packs a (region, index) component identity into an event arg.
-func Ref(region cluster.RegionID, index int) int64 {
-	return int64(region)<<32 | int64(uint32(index))
-}
-
-// SplitRef unpacks a Ref arg.
-func SplitRef(arg int64) (region cluster.RegionID, index int) {
-	return cluster.RegionID(arg >> 32), int(uint32(arg))
-}
-
 // Event is one timestamped step in a call's lifecycle. Arg's meaning is
-// per-Kind (see the Kind constants).
+// per-Kind (see the lifecycle.Kind constants).
 type Event struct {
 	At   sim.Time
-	Kind Kind
+	Kind lifecycle.Kind
 	Arg  int64
 }
 
@@ -174,7 +58,7 @@ type CallTrace struct {
 
 	// EndAt/Outcome/Done are set when a terminal event arrives.
 	EndAt   sim.Time
-	Outcome Kind
+	Outcome lifecycle.Kind
 	Done    bool
 	// Attempts is the highest delivery attempt observed.
 	Attempts int
@@ -317,40 +201,22 @@ func (r *Recorder) ShouldSample(id uint64) bool {
 	return mix(r.seed^id*0x9E3779B97F4A7C15)%r.params.SampleEvery == 0
 }
 
-// OnSubmit makes the sampling decision for a newly admitted call and, if
-// selected, opens its trace with a submit event. Call after the ID and
-// submit time are stamped.
-func (r *Recorder) OnSubmit(c *function.Call) {
-	if r == nil || !r.params.Enabled {
+// Observe is the recorder's subscription to the lifecycle stream. A
+// Submit makes the sampling decision and, if the call is selected, opens
+// its trace; any other kind appends to a sampled call's trace under its
+// span kind. Unsampled calls return before taking the lock (the
+// zero-alloc, near-zero-cost disabled path). Terminal kinds finalize the
+// trace.
+func (r *Recorder) Observe(c *function.Call, k lifecycle.Kind, arg int64) {
+	if r == nil {
 		return
 	}
-	if !r.ShouldSample(c.ID) {
+	if k == lifecycle.Submit {
+		r.open(c)
 		return
 	}
-	c.Sampled = true
-	t := &CallTrace{
-		ID:         c.ID,
-		Func:       c.Spec.Name,
-		Crit:       c.Spec.Criticality,
-		Quota:      c.Spec.Quota,
-		Region:     c.SourceRegion,
-		SubmitAt:   c.SubmitTime,
-		StartAfter: c.StartAfter,
-		Deadline:   c.Deadline,
-		Events:     make([]Event, 0, 8),
-	}
-	t.Events = append(t.Events, Event{At: c.SubmitTime, Kind: KindSubmit})
-	r.mu.Lock()
-	r.active[c.ID] = t
-	r.sampled++
-	r.mu.Unlock()
-}
-
-// Record appends one lifecycle event to a sampled call's trace. Unsampled
-// calls return immediately without taking the lock (the zero-alloc,
-// near-zero-cost disabled path). Terminal kinds finalize the trace.
-func (r *Recorder) Record(c *function.Call, k Kind, arg int64) {
-	if r == nil || !c.Sampled {
+	k, traced := spanKind(k)
+	if !c.Sampled || !traced {
 		return
 	}
 	r.mu.Lock()
@@ -366,7 +232,7 @@ func (r *Recorder) Record(c *function.Call, k Kind, arg int64) {
 		return
 	}
 	t.Events = append(t.Events, Event{At: r.engine.Now(), Kind: k, Arg: arg})
-	if k == KindLease && int(arg) > t.Attempts {
+	if k == lifecycle.Lease && int(arg) > t.Attempts {
 		t.Attempts = int(arg)
 	}
 	if k.Terminal() {
@@ -375,9 +241,52 @@ func (r *Recorder) Record(c *function.Call, k Kind, arg int64) {
 	r.mu.Unlock()
 }
 
+// spanKind maps a lifecycle kind to the span kind a trace records for it.
+// The ledger tells apart transitions a timeline does not: a drain's lease
+// release reads as a zero-backoff retry and a drain's shard move as a
+// migration, while the scheduler's completion (the worker's exec-end is
+// the span) and a partition's migrate-in (the trace itself moves) record
+// nothing.
+func spanKind(k lifecycle.Kind) (lifecycle.Kind, bool) {
+	switch k {
+	case lifecycle.Release:
+		return lifecycle.Retry, true
+	case lifecycle.DrainMigrated:
+		return lifecycle.Migrated, true
+	case lifecycle.Complete, lifecycle.MigrateIn:
+		return k, false
+	}
+	return k, true
+}
+
+// open makes the sampling decision for a newly admitted call and, if
+// selected, opens its trace with a submit event.
+func (r *Recorder) open(c *function.Call) {
+	if !r.params.Enabled || !r.ShouldSample(c.ID) {
+		return
+	}
+	c.Sampled = true
+	t := &CallTrace{
+		ID:         c.ID,
+		Func:       c.Spec.Name,
+		Crit:       c.Spec.Criticality,
+		Quota:      c.Spec.Quota,
+		Region:     c.SourceRegion,
+		SubmitAt:   c.SubmitTime,
+		StartAfter: c.StartAfter,
+		Deadline:   c.Deadline,
+		Events:     make([]Event, 0, 8),
+	}
+	t.Events = append(t.Events, Event{At: c.SubmitTime, Kind: lifecycle.Submit})
+	r.mu.Lock()
+	r.active[c.ID] = t
+	r.sampled++
+	r.mu.Unlock()
+}
+
 // finalize moves a trace from active to the retention buffers. Caller
 // holds r.mu.
-func (r *Recorder) finalize(t *CallTrace, outcome Kind) {
+func (r *Recorder) finalize(t *CallTrace, outcome lifecycle.Kind) {
 	delete(r.active, t.ID)
 	t.Done = true
 	t.Outcome = outcome

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"xfaas/internal/function"
+	"xfaas/internal/lifecycle"
 	"xfaas/internal/sim"
 )
 
@@ -27,16 +28,16 @@ func newCall(id uint64, spec *function.Spec) *function.Call {
 func driveCall(e *sim.Engine, r *Recorder, c *function.Call, submitDelay, queue, sched, exec time.Duration) {
 	c.SubmitTime = e.Now()
 	c.StartAfter = e.Now()
-	r.OnSubmit(c)
+	r.Observe(c, lifecycle.Submit, 0)
 	e.RunFor(submitDelay)
-	r.Record(c, KindEnqueue, Ref(0, 0))
+	r.Observe(c, lifecycle.Enqueue, lifecycle.Ref(0, 0))
 	e.RunFor(queue)
-	r.Record(c, KindLease, 1)
+	r.Observe(c, lifecycle.Lease, 1)
 	e.RunFor(sched)
-	r.Record(c, KindDispatch, Ref(0, 1))
+	r.Observe(c, lifecycle.Dispatch, lifecycle.Ref(0, 1))
 	e.RunFor(exec)
-	r.Record(c, KindExecEnd, 0)
-	r.Record(c, KindAck, 0)
+	r.Observe(c, lifecycle.ExecEnd, 0)
+	r.Observe(c, lifecycle.Ack, 0)
 }
 
 func TestSamplingDeterministicAndProportional(t *testing.T) {
@@ -74,9 +75,9 @@ func TestDisabledRecorderIsZeroAlloc(t *testing.T) {
 	r := NewRecorder(e, 1, DefaultParams()) // Enabled=false
 	c := newCall(7, testSpec())
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.OnSubmit(c)
-		r.Record(c, KindEnqueue, 0)
-		r.Record(c, KindLease, 1)
+		r.Observe(c, lifecycle.Submit, 0)
+		r.Observe(c, lifecycle.Enqueue, 0)
+		r.Observe(c, lifecycle.Lease, 1)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled recorder allocates %.1f/op, want 0", allocs)
@@ -86,8 +87,8 @@ func TestDisabledRecorderIsZeroAlloc(t *testing.T) {
 	}
 	var nilRec *Recorder
 	allocs = testing.AllocsPerRun(1000, func() {
-		nilRec.OnSubmit(c)
-		nilRec.Record(c, KindAck, 0)
+		nilRec.Observe(c, lifecycle.Submit, 0)
+		nilRec.Observe(c, lifecycle.Ack, 0)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil recorder allocates %.1f/op, want 0", allocs)
@@ -127,23 +128,23 @@ func TestBreakdownWithDeferralAndRetry(t *testing.T) {
 	c := newCall(2, testSpec())
 	c.SubmitTime = e.Now()
 	c.StartAfter = 10 * time.Second // deferred execution
-	r.OnSubmit(c)
+	r.Observe(c, lifecycle.Submit, 0)
 	e.RunFor(time.Second)
-	r.Record(c, KindEnqueue, Ref(1, 0))
+	r.Observe(c, lifecycle.Enqueue, lifecycle.Ref(1, 0))
 	e.RunFor(12 * time.Second) // 9s deferral + 3s queue
-	r.Record(c, KindLease, 1)
+	r.Observe(c, lifecycle.Lease, 1)
 	e.RunFor(time.Second)
-	r.Record(c, KindDispatch, Ref(1, 2))
+	r.Observe(c, lifecycle.Dispatch, lifecycle.Ref(1, 2))
 	e.RunFor(time.Second)
-	r.Record(c, KindNack, 0)
-	r.Record(c, KindRetry, int64(5*time.Second))
+	r.Observe(c, lifecycle.Nack, 0)
+	r.Observe(c, lifecycle.Retry, int64(5*time.Second))
 	e.RunFor(6 * time.Second)
-	r.Record(c, KindLease, 2) // retry lease
+	r.Observe(c, lifecycle.Lease, 2) // retry lease
 	e.RunFor(2 * time.Second)
-	r.Record(c, KindDispatch, Ref(1, 3))
+	r.Observe(c, lifecycle.Dispatch, lifecycle.Ref(1, 3))
 	e.RunFor(time.Second)
-	r.Record(c, KindExecEnd, 0)
-	r.Record(c, KindAck, 0)
+	r.Observe(c, lifecycle.ExecEnd, 0)
+	r.Observe(c, lifecycle.Ack, 0)
 
 	tr := r.Find(2)
 	comp, ok := tr.Breakdown()
@@ -213,13 +214,13 @@ func TestEventCapTruncatesButFinalizes(t *testing.T) {
 	r := NewRecorder(e, 1, p)
 	c := newCall(1, testSpec())
 	c.SubmitTime = e.Now()
-	r.OnSubmit(c)
-	r.Record(c, KindEnqueue, 0)
+	r.Observe(c, lifecycle.Submit, 0)
+	r.Observe(c, lifecycle.Enqueue, 0)
 	for i := 0; i < 50; i++ {
-		r.Record(c, KindLease, int64(i+1))
-		r.Record(c, KindLeaseExpired, 0)
+		r.Observe(c, lifecycle.Lease, int64(i+1))
+		r.Observe(c, lifecycle.LeaseExpired, 0)
 	}
-	r.Record(c, KindAck, 0)
+	r.Observe(c, lifecycle.Ack, 0)
 	tr := r.Find(1)
 	if !tr.Done {
 		t.Fatalf("terminal event must finalize a truncated trace")
@@ -273,9 +274,9 @@ func TestUnsampledEventsIgnored(t *testing.T) {
 	p.SampleEvery = 1 << 62 // effectively sample nothing
 	r := NewRecorder(e, 1, p)
 	c := newCall(5, testSpec())
-	r.OnSubmit(c)
-	r.Record(c, KindEnqueue, 0)
-	r.Record(c, KindAck, 0)
+	r.Observe(c, lifecycle.Submit, 0)
+	r.Observe(c, lifecycle.Enqueue, 0)
+	r.Observe(c, lifecycle.Ack, 0)
 	if c.Sampled || r.Active() != 0 || len(r.Recent()) != 0 {
 		t.Fatalf("unsampled call left recorder state behind")
 	}
@@ -363,5 +364,28 @@ func TestRenderShowsTimeline(t *testing.T) {
 		if !bytes.Contains([]byte(out), []byte(want)) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// The ledger's finer kinds record under the span kinds a trace always
+// used, or not at all.
+func TestLedgerKindsMapToSpanKinds(t *testing.T) {
+	e := sim.NewEngine()
+	p := DefaultParams()
+	p.Enabled = true
+	r := NewRecorder(e, 1, p)
+	c := newCall(1, testSpec())
+	r.Observe(c, lifecycle.Submit, 0)
+	r.Observe(c, lifecycle.MigrateIn, 0)
+	r.Observe(c, lifecycle.DrainMigrated, lifecycle.Ref(1, 0))
+	r.Observe(c, lifecycle.Release, 0)
+	r.Observe(c, lifecycle.Complete, lifecycle.Ref(0, 1))
+	var got []lifecycle.Kind
+	for _, ev := range r.Find(1).Events {
+		got = append(got, ev.Kind)
+	}
+	want := []lifecycle.Kind{lifecycle.Submit, lifecycle.Migrated, lifecycle.Retry}
+	if len(got) != len(want) || got[1] != want[1] || got[2] != want[2] {
+		t.Fatalf("span kinds %v, want %v", got, want)
 	}
 }
